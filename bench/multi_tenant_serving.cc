@@ -43,9 +43,12 @@
 #include "nucleus/util/rng.h"
 #include "nucleus/util/scratch.h"
 #include "nucleus/util/timer.h"
+#include "serving_bench_util.h"
 
 namespace nucleus {
 namespace {
+
+using serving_bench::MakeBlock;
 
 struct Options {
   bool quick = false;
@@ -66,35 +69,6 @@ Options ParseArgs(int argc, char** argv) {
     }
   }
   return options;
-}
-
-/// One tenant's request lines for one rotation block, as protocol text —
-/// the bench measures the full serving surface (parse + route + batch +
-/// JSON), not just QueryEngine::RunBatch.
-std::string MakeBlock(Rng& rng, std::int64_t num_cliques,
-                      std::int64_t num_nodes, Lambda max_lambda,
-                      std::int64_t count, const std::string& prefix) {
-  std::ostringstream block;
-  for (std::int64_t i = 0; i < count; ++i) {
-    const std::int64_t roll = rng.UniformInt(0, 99);
-    block << prefix;
-    if (roll < 35) {
-      block << "lambda " << rng.UniformInt(0, num_cliques - 1);
-    } else if (roll < 60 && max_lambda >= 1) {
-      block << "nucleus " << rng.UniformInt(0, num_cliques - 1) << " "
-            << rng.UniformInt(1, max_lambda);
-    } else if (roll < 90) {
-      block << (rng.Bernoulli(0.5) ? "common " : "level ")
-            << rng.UniformInt(0, num_cliques - 1) << " "
-            << rng.UniformInt(0, num_cliques - 1);
-    } else if (roll < 97) {
-      block << "top " << rng.UniformInt(1, 10);
-    } else {
-      block << "members " << rng.UniformInt(0, num_nodes - 1);
-    }
-    block << "\n";
-  }
-  return block.str();
 }
 
 struct Tenant {

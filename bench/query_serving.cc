@@ -1,29 +1,31 @@
 // Serving bench: cold snapshot load vs full re-decomposition, batched
-// query throughput at 1-8 threads, and the beyond-RAM story: heap (v1
-// bulk read) vs mmap (v2 zero-copy) cold start and resident footprint.
+// query throughput at 1-8 threads, and the beyond-RAM story: heap (eager
+// LoadSnapshot) vs mmap (zero-copy) cold start and resident footprint,
+// both over the same .nucsnap file.
 //
 // The paper's economics are "build once, query forever"; this bench prices
 // both halves of that claim for the serving stack this repo adds on top:
 //
 //   * load speedup  — wall time of Decompose (FND, hierarchy + index-ready)
-//     over wall time of LoadSnapshot on the same data. This is the factor a
-//     restart of a serving process gains from the .nucsnap store; the CI
-//     gate (tools/check_bench_regression.py) tracks it per dataset and the
-//     acceptance bar is >= 10x.
+//     over wall time of LoadSnapshot (the eager load: every section read,
+//     digest-checked and validated, hierarchy rebuilt) on the same data.
+//     This is the factor a restart of a serving process gains from the
+//     .nucsnap store; the CI gate (tools/check_bench_regression.py) tracks
+//     it per dataset and the acceptance bar is >= 10x.
 //   * queries/sec   — a deterministic mixed workload (point lookups,
 //     common-nucleus, top-k, member materialization) through
 //     QueryEngine::RunBatch over the shared ThreadPool at 1, 2, 4 and 8
 //     threads, with a cross-thread-count checksum proving answers are
 //     schedule-invariant.
 //   * mmap cold start / resident — time-to-first-answer and heap bytes of
-//     an MmapSource engine over the v2 layout vs a HeapSource engine over
-//     the v1 file. The mmap path parses a 400-byte header and serves
-//     lambdas straight from the page cache, so its cold start prices the
-//     header + one lazily-verified section instead of the whole file; the
-//     acceptance bar is >= 5x under the v1 bulk read, with resident bytes
-//     below the snapshot file size. Both engines answer the whole workload
-//     at every thread count and every answer is checksum-compared — a
-//     heap/mmap divergence fails the bench.
+//     an MmapSource engine vs a HeapSource engine over the same file. The
+//     mmap path parses a 400-byte header and serves lambdas straight from
+//     the page cache, so its cold start prices the header + one
+//     lazily-verified section instead of the whole file; the acceptance
+//     bar is >= 5x under the eager load, with resident bytes below the
+//     snapshot file size. Both engines answer the whole workload at every
+//     thread count and every answer is checksum-compared — a heap/mmap
+//     divergence fails the bench.
 //
 // Flags:
 //   --quick       CI smoke mode: Table 1 datasets only, smaller workload
@@ -44,7 +46,6 @@
 #include "nucleus/serve/query_engine.h"
 #include "nucleus/store/snapshot.h"
 #include "nucleus/store/snapshot_source.h"
-#include "nucleus/store/snapshot_v2.h"
 #include "nucleus/util/file_util.h"
 #include "nucleus/util/rng.h"
 #include "nucleus/util/scratch.h"
@@ -179,11 +180,11 @@ void Run(const Options& options) {
   const std::int64_t workload_size = options.quick ? 20000 : 100000;
   std::cout << "Query serving: cold snapshot load vs re-decomposition,\n"
             << "batched (2,3) community queries over the shared ThreadPool,\n"
-            << "and heap(v1) vs mmap(v2) cold start + resident footprint\n"
+            << "and heap vs mmap cold start + resident footprint\n"
             << "(workload " << workload_size << " mixed queries"
             << (options.quick ? ", quick mode" : "") << ")\n\n";
   TablePrinter table({"graph", "decompose", "load", "load spdup", "snap MB",
-                      "cold v1", "cold mm", "cold spdup", "res v1 MB",
+                      "cold heap", "cold mm", "cold spdup", "res heap MB",
                       "res mm MB", "q/s t1", "q/s t2", "q/s t4", "q/s t8"});
 
   struct JsonRow {
@@ -222,13 +223,6 @@ void Run(const Options& options) {
       std::cerr << "error: " << s.ToString() << "\n";
       std::exit(1);
     }
-    const std::string v2_path = UniqueScratchPath(
-        "/tmp", "query_serving_" + spec.name + "_v2", ".nucsnap");
-    ScratchFileRemover v2_remover(v2_path);
-    if (Status s = SaveSnapshotV2(snapshot, v2_path); !s.ok()) {
-      std::cerr << "error: " << s.ToString() << "\n";
-      std::exit(1);
-    }
 
     double load_seconds = 0.0;
     {
@@ -243,7 +237,6 @@ void Run(const Options& options) {
     const double load_speedup = build_seconds / load_seconds;
 
     const double snap_mb = FileMegabytes(path);
-    const double v2_mb = FileMegabytes(v2_path);
 
     // Cold start to first answer, both memory modes over cold files.
     double heap_cold = 0.0;
@@ -251,7 +244,7 @@ void Run(const Options& options) {
     const std::unique_ptr<QueryEngine> heap_engine =
         ColdStart(path, SnapshotMemoryMode::kHeap, &heap_cold);
     const std::unique_ptr<QueryEngine> mmap_engine =
-        ColdStart(v2_path, SnapshotMemoryMode::kMmap, &mmap_cold);
+        ColdStart(path, SnapshotMemoryMode::kMmap, &mmap_cold);
     const double cold_speedup = heap_cold / mmap_cold;
 
     const auto workload = MakeWorkload(*heap_engine, workload_size);
@@ -300,9 +293,9 @@ void Run(const Options& options) {
     const double resident_savings =
         static_cast<double>(heap_resident) /
         static_cast<double>(mmap_resident > 0 ? mmap_resident : 1);
-    if (static_cast<double>(mmap_resident) > v2_mb * 1024.0 * 1024.0) {
+    if (static_cast<double>(mmap_resident) > snap_mb * 1024.0 * 1024.0) {
       std::cerr << "error: mmap resident bytes (" << mmap_resident
-                << ") exceed the v2 snapshot file size on " << spec.name
+                << ") exceed the snapshot file size on " << spec.name
                 << "\n";
       std::exit(1);
     }
@@ -320,10 +313,10 @@ void Run(const Options& options) {
 
   table.Print(std::cout);
   std::cout << "\nAnswers are checksummed across thread counts AND across"
-            << "\nmemory modes (heap v1 vs mmap v2); a divergence fails the"
+            << "\nmemory modes (heap vs mmap); a divergence fails the"
             << "\nbench. Load speedup is the restart win of the .nucsnap"
             << "\nstore (acceptance bar: >= 10x); cold spdup is the further"
-            << "\nwin of mmap time-to-first-answer over the v1 bulk read"
+            << "\nwin of mmap time-to-first-answer over the eager load"
             << "\n(acceptance bar: >= 5x), with mmap resident bytes below"
             << "\nthe snapshot file size.\n";
 

@@ -32,15 +32,11 @@
 //                 fewer round trips
 //   --json F      write {"bench": "router_serving", ...} for the
 //                 perf-regression gate
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -64,9 +60,17 @@
 #include "nucleus/util/rng.h"
 #include "nucleus/util/scratch.h"
 #include "nucleus/util/timer.h"
+#include "serving_bench_util.h"
 
 namespace nucleus {
 namespace {
+
+using serving_bench::MakeBlock;
+using serving_bench::Dial;
+using serving_bench::SendAll;
+using serving_bench::PumpScript;
+using serving_bench::ReadLine;
+using serving_bench::Percentile;
 
 struct Options {
   bool quick = false;
@@ -87,108 +91,6 @@ Options ParseArgs(int argc, char** argv) {
     }
   }
   return options;
-}
-
-/// One tenant's request lines for one connection's script — identical
-/// verb mix to bench/network_serving.cc so the two benches price the
-/// same workload with and without the sharding tier in front.
-std::string MakeBlock(Rng& rng, std::int64_t num_cliques,
-                      std::int64_t num_nodes, Lambda max_lambda,
-                      std::int64_t count, const std::string& prefix) {
-  std::ostringstream block;
-  for (std::int64_t i = 0; i < count; ++i) {
-    const std::int64_t roll = rng.UniformInt(0, 99);
-    block << prefix;
-    if (roll < 35) {
-      block << "lambda " << rng.UniformInt(0, num_cliques - 1);
-    } else if (roll < 60 && max_lambda >= 1) {
-      block << "nucleus " << rng.UniformInt(0, num_cliques - 1) << " "
-            << rng.UniformInt(1, max_lambda);
-    } else if (roll < 90) {
-      block << (rng.Bernoulli(0.5) ? "common " : "level ")
-            << rng.UniformInt(0, num_cliques - 1) << " "
-            << rng.UniformInt(0, num_cliques - 1);
-    } else if (roll < 97) {
-      block << "top " << rng.UniformInt(1, 10);
-    } else {
-      block << "members " << rng.UniformInt(0, num_nodes - 1);
-    }
-    block << "\n";
-  }
-  return block.str();
-}
-
-int Dial(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::perror("socket");
-    std::exit(1);
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::perror("connect");
-    std::exit(1);
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-void SendAll(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (n <= 0) return;  // server closed; the reader will notice
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-}
-
-/// Fire-hose `script` down `fd` from a writer thread, half-close, read
-/// the whole transcript back. Closes `fd`.
-std::string PumpScript(int fd, const std::string& script) {
-  std::thread writer([fd, &script] {
-    SendAll(fd, script.data(), script.size());
-    ::shutdown(fd, SHUT_WR);
-  });
-  std::string transcript;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    transcript.append(buf, static_cast<std::size_t>(n));
-  }
-  writer.join();
-  ::close(fd);
-  return transcript;
-}
-
-/// Reads one '\n'-terminated line; `carry` holds bytes read past it.
-std::string ReadLine(int fd, std::string& carry) {
-  for (;;) {
-    const std::size_t pos = carry.find('\n');
-    if (pos != std::string::npos) {
-      std::string line = carry.substr(0, pos + 1);
-      carry.erase(0, pos + 1);
-      return line;
-    }
-    char buf[4096];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) return std::string();
-    carry.append(buf, static_cast<std::size_t>(n));
-  }
-}
-
-double Percentile(std::vector<double>& samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t rank = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, static_cast<std::int64_t>(
-             std::ceil(p * static_cast<double>(samples.size()))) -
-             1));
-  return samples[std::min(rank, samples.size() - 1)];
 }
 
 struct Tenant {

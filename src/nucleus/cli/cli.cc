@@ -22,7 +22,6 @@
 #include <utility>
 
 #include "nucleus/core/decomposition.h"
-#include "nucleus/core/hierarchy_index.h"
 #include "nucleus/core/views.h"
 #include "nucleus/em/adjacency_file.h"
 #include "nucleus/em/semi_external_core.h"
@@ -187,7 +186,7 @@ constexpr TenantTrioVocabulary kCliTrioVocabulary{
     "--snapshot (the chain base)", "--deltas", "--input"};
 
 /// --memory-mode heap|mmap: how a plain snapshot is brought to the query
-/// surface (heap materialization vs. zero-copy mapping of a v2 file).
+/// surface (heap materialization vs. zero-copy mapping of the file).
 bool ParseMemoryMode(const ParsedArgs& parsed, SnapshotMemoryMode* mode,
                      std::ostream& err) {
   const std::string value = FlagOr(parsed, "memory-mode", "heap");
@@ -259,8 +258,7 @@ int CmdDecompose(const ParsedArgs& parsed, std::ostream& out,
                  std::ostream& err) {
   if (!CheckFlags(parsed,
                   {"input", "family", "algorithm", "threads", "out-json",
-                   "out-dot", "lambda", "out-snapshot", "snapshot-index",
-                   "snapshot-format"},
+                   "out-dot", "lambda", "out-snapshot"},
                   err)) {
     return 2;
   }
@@ -269,25 +267,16 @@ int CmdDecompose(const ParsedArgs& parsed, std::ostream& out,
     err << "error: decompose requires --input\n";
     return 2;
   }
-  const std::string snapshot_format = FlagOr(parsed, "snapshot-format", "v1");
-  if (snapshot_format != "v1" && snapshot_format != "v2") {
-    err << "error: --snapshot-format expects v1 or v2, got '"
-        << snapshot_format << "'\n";
-    return 2;
-  }
   const StatusOr<Graph> graph = ReadEdgeList(input);
   if (!graph.ok()) {
     err << "error: " << graph.status().ToString() << "\n";
     return 1;
   }
   DecomposeOptions options;
-  std::int64_t snapshot_index = 1;
   if (!ParseFamily(FlagOr(parsed, "family", "core"), &options.family, err) ||
       !ParseAlgorithm(FlagOr(parsed, "algorithm", "fnd"), &options.algorithm,
                       err) ||
-      !ParseThreads(parsed, &options.parallel, err) ||
-      !ParseIntFlag(parsed, "snapshot-index", 1, 0, 1, &snapshot_index,
-                    err)) {
+      !ParseThreads(parsed, &options.parallel, err)) {
     return 2;
   }
   if (options.algorithm == Algorithm::kLcps &&
@@ -366,24 +355,15 @@ int CmdDecompose(const ParsedArgs& parsed, std::ostream& out,
   if (!snapshot_path.empty()) {
     // Last use of `result`: move the lambdas and hierarchy into the
     // snapshot instead of deep-copying a potentially huge tree.
-    const SnapshotData snapshot =
-        MakeSnapshot(*graph, options, std::move(result), snapshot_index != 0);
-    // v2 always embeds the index tables (the lazy mmap reader depends on
-    // them), so --snapshot-index only shapes v1 output.
-    const Status status = snapshot_format == "v2"
-                              ? SaveSnapshotV2(snapshot, snapshot_path)
-                              : SaveSnapshot(snapshot, snapshot_path);
-    if (!status.ok()) {
-      err << "error: " << status.ToString() << "\n";
+    const SnapshotData snapshot = MakeSnapshot(
+        *graph, options, std::move(result), /*with_index=*/true);
+    if (Status s = SaveSnapshot(snapshot, snapshot_path); !s.ok()) {
+      err << "error: " << s.ToString() << "\n";
       return 1;
     }
     out << "wrote " << snapshot_path << " ("
         << snapshot.hierarchy.NumNodes() << " nodes, "
-        << snapshot.meta.num_cliques << " cliques"
-        << (snapshot_format == "v2"
-                ? ", v2 layout with index tables"
-                : (snapshot_index != 0 ? ", with index tables" : ""))
-        << ")\n";
+        << snapshot.meta.num_cliques << " cliques, with index tables)\n";
   }
   return 0;
 }
@@ -815,7 +795,7 @@ int CmdUpdate(const ParsedArgs& parsed, std::ostream& out,
               std::ostream& err) {
   if (!CheckFlags(parsed,
                   {"snapshot", "deltas", "input", "edits", "out-snapshot",
-                   "snapshot-index", "out-delta"},
+                   "out-delta"},
                   err)) {
     return 2;
   }
@@ -827,12 +807,6 @@ int CmdUpdate(const ParsedArgs& parsed, std::ostream& out,
            "snapshot was built from) and --edits\n";
     return 2;
   }
-  std::int64_t snapshot_index = 1;
-  if (!ParseIntFlag(parsed, "snapshot-index", 1, 0, 1, &snapshot_index,
-                    err)) {
-    return 2;
-  }
-
   const StatusOr<Graph> graph = ReadEdgeList(input);
   if (!graph.ok()) {
     err << "error: " << graph.status().ToString() << "\n";
@@ -890,25 +864,16 @@ int CmdUpdate(const ParsedArgs& parsed, std::ostream& out,
   if (!out_snapshot.empty()) {
     // An all-skipped batch changes nothing: the loaded (or chain-resolved)
     // state IS the post-state, so persist that instead of re-deriving it.
-    SnapshotData& patched =
+    // SaveSnapshot builds the jump tables a patched state lacks.
+    const SnapshotData& patched =
         result->changed ? result->snapshot : *snapshot;
-    if (snapshot_index != 0) {
-      if (!patched.has_index) {
-        patched.has_index = true;
-        patched.index_tables = HierarchyIndex(patched.hierarchy).Tables();
-      }
-    } else {
-      patched.has_index = false;
-      patched.index_tables = HierarchyIndexTables{};
-    }
     if (Status s = SaveSnapshot(patched, out_snapshot); !s.ok()) {
       err << "error: " << s.ToString() << "\n";
       return 1;
     }
     out << "wrote " << out_snapshot << " ("
         << patched.hierarchy.NumNodes() << " nodes, "
-        << patched.meta.num_cliques << " cliques"
-        << (snapshot_index != 0 ? ", with index tables" : "") << ")\n";
+        << patched.meta.num_cliques << " cliques, with index tables)\n";
   }
   return 0;
 }
@@ -1336,7 +1301,7 @@ int CmdServe(const ParsedArgs& parsed, std::ostream& out, std::ostream& err) {
     }
     RegistryOptions registry_options;
     registry_options.memory_budget_bytes = budget_mb * (1 << 20);
-    // Read-only tenants honor the mode (mmap maps v2 files zero-copy);
+    // Read-only tenants honor the mode (mmap maps the file zero-copy);
     // live tenants always load heap — the registry sorts that out.
     registry_options.memory_mode = memory_mode;
     SnapshotRegistry registry(registry_options);
@@ -1382,8 +1347,8 @@ int CmdServe(const ParsedArgs& parsed, std::ostream& out, std::ostream& err) {
   std::unique_ptr<LiveUpdater> updater;
   std::unique_ptr<QueryEngine> engine;
   if (!graph.has_value() && deltas.empty()) {
-    // Read-only session: the source honors --memory-mode (mmap serves a
-    // v2 file zero-copy; a v1 file falls back to heap).
+    // Read-only session: the source honors --memory-mode (mmap serves the
+    // file zero-copy).
     StatusOr<std::shared_ptr<const SnapshotSource>> source =
         OpenSnapshotSource(snapshot_path, memory_mode);
     if (!source.ok()) {
@@ -1549,9 +1514,10 @@ int CmdRoute(const ParsedArgs& parsed, std::ostream& out,
   return 0;
 }
 
-/// Rewrites a snapshot (either version) in the v2 mmap-friendly layout.
-/// Lossless and idempotent: a v2 input round-trips, a v1 input gains the
-/// embedded index tables, member store and density ranking.
+/// Rewrites a legacy v1 snapshot in the current (v2) layout — the only way
+/// to serve a file written before v2 became the sole format. Lossless and
+/// idempotent: a v2 input round-trips, a v1 input gains the embedded index
+/// tables, member store and density ranking.
 int CmdSnapshotUpgrade(const ParsedArgs& parsed, std::ostream& out,
                        std::ostream& err) {
   if (!CheckFlags(parsed, {"snapshot", "out"}, err)) return 2;
@@ -1583,10 +1549,7 @@ void PrintUsage(std::ostream& err) {
       << "  decompose     --input F [--family core|truss|34] "
          "[--algorithm fnd|dft|lcps] [--threads N] [--out-json F] "
          "[--out-dot F] [--lambda F]\n"
-      << "                [--out-snapshot F.nucsnap [--snapshot-index 0|1] "
-         "[--snapshot-format v1|v2]]\n"
-      << "                (--snapshot-format v2 writes the mmap-friendly "
-         "sectioned layout; v2 always embeds index tables)\n"
+      << "                [--out-snapshot F.nucsnap]\n"
       << "  stats         --input F\n"
       << "  generate      --type er|ba|rmat|ws|planted|caveman --out F "
          "[--n N] [--param P] [--seed S]\n"
@@ -1600,7 +1563,7 @@ void PrintUsage(std::ostream& err) {
       << "  serve         (--snapshot F.nucsnap [--deltas D1,D2] [--input F] "
          "| --registry M [--budget-mb N]) [--memory-mode heap|mmap] "
          "[--queries F] [--out F] [--threads N] [--batch N]\n"
-      << "                (--memory-mode mmap serves a v2 snapshot "
+      << "                (--memory-mode mmap serves the snapshot "
          "zero-copy from a file mapping — read-only surfaces only; live "
          "tenants and chains stay heap)\n"
       << "                (--input pairs the graph and enables the "
@@ -1638,13 +1601,13 @@ void PrintUsage(std::ostream& err) {
       << "                (TCP client for serve --listen; --port stdin "
          "parses the port from a piped-in 'listening on' announcement)\n"
       << "  update        --snapshot F.nucsnap [--deltas D1,D2] --input F "
-         "--edits E [--out-snapshot G.nucsnap [--snapshot-index 0|1]] "
-         "[--out-delta D.nucdelta]\n"
+         "--edits E [--out-snapshot G.nucsnap] [--out-delta D.nucdelta]\n"
       << "                (edit lines: '+ u v' inserts, '- u v' removes; "
          "see store/README.md for the chain format)\n"
       << "  snapshot-upgrade --snapshot F.nucsnap --out G.nucsnap\n"
-      << "                (rewrites a v1 or v2 snapshot in the v2 layout; "
-         "lossless — the result answers byte-identically)\n"
+      << "                (converts a legacy v1 snapshot, which no other "
+         "command loads, to the current layout; lossless — the result "
+         "answers byte-identically)\n"
       << "query/serve ids are K_r ids of the decomposition's family: "
          "vertex ids (core), edge ids (truss), triangle ids (34)\n";
 }

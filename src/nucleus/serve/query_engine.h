@@ -17,8 +17,8 @@
 //                                     sharded, byte-budgeted LRU cache.
 //
 // Construction goes through factories: FromSource serves any
-// SnapshotSource — a HeapSource (v1 semantics, everything resident) or an
-// MmapSource (zero-copy spans over a mapped v2 file; sections verify
+// SnapshotSource — a HeapSource (eager load, everything resident) or an
+// MmapSource (zero-copy spans over a mapped file; sections verify
 // lazily on the first query that needs them, members page in through the
 // LRU cache, which is then the engine's only heap-resident hot set).
 // FromSnapshotData wraps the data in a HeapSource — the tests' and
@@ -109,8 +109,8 @@ class QueryEngine {
       std::shared_ptr<const SnapshotSource> source,
       const QueryEngineOptions& options = {});
 
-  /// Wraps `snapshot` in a HeapSource (v1 bulk-read semantics, index
-  /// tables adopted or built here once) — the path tests and the live
+  /// Wraps `snapshot` in a HeapSource (everything resident, index tables
+  /// adopted or built here once) — the path tests and the live
   /// update pipeline use.
   static std::unique_ptr<QueryEngine> FromSnapshotData(
       SnapshotData snapshot, const QueryEngineOptions& options = {});

@@ -64,10 +64,9 @@ SnapshotRegistry::LoadResidentImpl(const SnapshotRegistry* self,
                                    const RegistryOptions& options) {
   if (options.load_hook) options.load_hook(spec.name);
   if (spec.graph_path.empty()) {
-    // Read-only tenant: honor the registry's memory mode. kMmap maps a
-    // v2 file zero-copy (OpenSnapshotSource falls back to heap for v1);
-    // either way the engine reports its own heap/mapped split, which is
-    // what the budget charges.
+    // Read-only tenant: honor the registry's memory mode. kMmap maps the
+    // file zero-copy; either way the engine reports its own heap/mapped
+    // split, which is what the budget charges.
     StatusOr<std::shared_ptr<const SnapshotSource>> source =
         OpenSnapshotSource(spec.snapshot_path, options.memory_mode);
     if (!source.ok()) return source.status();

@@ -76,9 +76,8 @@ struct RegistryOptions {
   /// tenant just unmaps the file.
   std::int64_t memory_budget_bytes = 0;
   /// How read-only tenants load their snapshot: kHeap materializes
-  /// everything (v1 semantics, any snapshot version); kMmap serves v2
-  /// files zero-copy from a private read-only mapping (a v1 file falls
-  /// back to heap). Live tenants (a graph is paired) always load heap —
+  /// everything; kMmap serves the file zero-copy from a private read-only
+  /// mapping. Live tenants (a graph is paired) always load heap —
   /// chain resolution and the incremental maintainer need materialized
   /// state.
   SnapshotMemoryMode memory_mode = SnapshotMemoryMode::kHeap;

@@ -7,43 +7,26 @@
 // contracted NucleusHierarchy, the binary-lifting tables of HierarchyIndex —
 // died with the process and every query re-ran the full decomposition. A
 // snapshot captures all of it behind a versioned, checksummed header, so a
-// serving process (serve/query_engine.h) loads in bulk reads what a
-// decomposition takes peel + traversal time to recompute.
+// serving process (serve/query_engine.h) loads in bulk reads (or maps) what
+// a decomposition takes peel + traversal time to recompute.
 //
-// On-disk layout (integers in host byte order; like the binary CSR graph
-// format this is a processing artifact, not an interchange format — see
-// README.md in this directory for the full spec):
+// There is one on-disk format: the sectioned, checksummed, little-endian
+// layout documented in snapshot_v2.h and README.md in this directory
+// (magic "NUCSNAP2"). Besides what a decomposition produces — per-clique
+// lambdas, the tree's node_lambda / node_parent / node_of_clique arrays and
+// the binary-lifting jump tables — a file carries precomputed subtree
+// extents, a preorder member store and the density ranking, so the mmap
+// serving path (snapshot_source.h) answers straight from the mapping.
+// SaveSnapshot writes it; LoadSnapshot, ReadSnapshotMeta and
+// OpenSnapshotSource read it. Files in the retired v1 layout ("NUCSNAP1")
+// are rejected with a Status naming `nucleus_cli snapshot-upgrade`, whose
+// UpgradeSnapshot (snapshot_v2.h) is the only reader left for them.
 //
-//   header (64 bytes, fixed):
-//     bytes  0..7   magic "NUCSNAP1"
-//     bytes  8..11  format version (uint32, currently 1)
-//     bytes 12..15  flags (uint32; bit 0 = index tables present)
-//     bytes 16..19  family (int32, Family enum value)
-//     bytes 20..23  algorithm (int32, Algorithm enum value)
-//     bytes 24..27  |V| of the source graph (int32)
-//     bytes 28..35  |E| of the source graph (int64)
-//     bytes 36..43  graph fingerprint (uint64, FNV-1a over the CSR arrays)
-//     bytes 44..51  |K_r| = number of cliques (int64)
-//     bytes 52..55  max lambda (int32)
-//     bytes 56..59  hierarchy node count (int32)
-//     bytes 60..63  index levels (int32; 0 iff bit 0 of flags is clear)
-//   payload (sizes fully determined by the header):
-//     lambda          |K_r|  x int32     peeling numbers per clique id
-//     node_lambda     nodes  x int32     per hierarchy node
-//     node_parent     nodes  x int32     kInvalidId for the root (node 0)
-//     node_of_clique  |K_r|  x int32     deepest node of every clique
-//     [depth          nodes  x int32]    only with index tables
-//     [up      levels*nodes  x int32]    binary-lifting ancestors, row-major
-//   footer (8 bytes):
-//     checksum (uint64, FNV-1a over header + payload bytes)
-//
-// Children lists, member lists and subtree aggregates are derivable from
-// node_parent / node_of_clique and are rebuilt on load
-// (NucleusHierarchy::FromParts), keeping the file near the information-
-// theoretic minimum. LoadSnapshot validates untrusted input strictly —
-// short files, bad magic, impossible headers, payload/checksum mismatches
-// and structurally inconsistent trees all surface as Status errors, never
-// as aborts or over-allocation.
+// Children and member lists are rebuilt from node_parent / node_of_clique
+// on an eager load (NucleusHierarchy::FromParts). LoadSnapshot validates
+// untrusted input strictly — short files, bad magic, impossible headers,
+// digest mismatches and structurally inconsistent trees all surface as
+// Status errors, never as aborts or over-allocation.
 #ifndef NUCLEUS_STORE_SNAPSHOT_H_
 #define NUCLEUS_STORE_SNAPSHOT_H_
 
@@ -58,11 +41,6 @@
 #include "nucleus/util/status.h"
 
 namespace nucleus {
-
-inline constexpr char kSnapshotMagic[8] = {'N', 'U', 'C', 'S',
-                                           'N', 'A', 'P', '1'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
-inline constexpr std::uint32_t kSnapshotFlagHasIndex = 1u;
 
 /// Identity of a snapshot: what was decomposed and how. Checked against the
 /// graph a serving process pairs the snapshot with (see GraphFingerprint).
@@ -95,8 +73,8 @@ std::uint64_t GraphFingerprint(const Graph& g);
 
 /// Packages a decomposition result for persistence. `result` must carry a
 /// built hierarchy (build_tree, i.e. kDft / kFnd / kLcps). `with_index`
-/// additionally precomputes and embeds the HierarchyIndex jump tables so
-/// the load path skips even that construction. The rvalue overload moves
+/// precomputes the HierarchyIndex jump tables here; without it SaveSnapshot
+/// builds them, since every file embeds them. The rvalue overload moves
 /// the peel vector and hierarchy out of `result` instead of deep-copying
 /// them — use it when the result is not needed afterwards (large graphs:
 /// the copy doubles peak memory at the worst moment).
@@ -105,18 +83,21 @@ SnapshotData MakeSnapshot(const Graph& g, const DecomposeOptions& options,
 SnapshotData MakeSnapshot(const Graph& g, const DecomposeOptions& options,
                           DecompositionResult&& result, bool with_index);
 
-/// Writes `snapshot` to `path` (overwriting), streaming the sections
-/// through an incremental checksum. Fails with kInternal on IO errors.
+/// Writes `snapshot` to `path` atomically (write-temp-then-rename,
+/// fsynced), building the jump tables when the snapshot lacks them and
+/// deriving the member store + density ranking from the hierarchy. Fails
+/// with kInternal on IO errors.
 Status SaveSnapshot(const SnapshotData& snapshot, const std::string& path);
 
-/// Loads a .nucsnap file: header validation, single-allocation bulk array
-/// reads, checksum verification, then full structural validation of the
-/// tree and (if present) the jump tables. Every corruption mode returns a
-/// Status; the returned data is safe to feed to NucleusHierarchy::FromParts
-/// (already done — `hierarchy` is rebuilt) and HierarchyIndex.
+/// Loads a .nucsnap file eagerly: header + directory validation, each
+/// section read straight into its destination array and digest-checked,
+/// then full structural validation (tree, assignment, jump tables, member
+/// store, ranking). Every corruption mode returns a Status; the result
+/// always has `has_index` set and `hierarchy` rebuilt.
 StatusOr<SnapshotData> LoadSnapshot(const std::string& path);
 
-/// Reads and validates only the header — a cheap probe for tooling.
+/// Reads and validates only the header + directory — a cheap probe for
+/// tooling.
 StatusOr<SnapshotMeta> ReadSnapshotMeta(const std::string& path);
 
 }  // namespace nucleus

@@ -30,8 +30,10 @@ HeapSource::HeapSource(SnapshotData snapshot)
     node_lambda_[i] = h.node(i).lambda;
     node_parent_[i] = h.node(i).parent;
   }
-  tables_ = snapshot_.has_index ? snapshot_.index_tables
-                                : HierarchyIndex(h).Tables();
+  if (!snapshot_.has_index) {
+    snapshot_.index_tables = HierarchyIndex(h).Tables();
+    snapshot_.has_index = true;
+  }
   ranking_.reserve(static_cast<std::size_t>(h.NumNuclei()));
   for (std::int32_t i = 0; i < n; ++i) {
     if (node_lambda_[i] >= 1) ranking_.push_back(i);
@@ -47,12 +49,7 @@ HeapSource::HeapSource(SnapshotData snapshot)
       EstimateSnapshotHeapBytes(snapshot_) +
       static_cast<std::int64_t>(node_lambda_.size() + node_parent_.size() +
                                 ranking_.size()) *
-          sizeof(std::int32_t) +
-      (snapshot_.has_index
-           ? 0
-           : static_cast<std::int64_t>(tables_.depth.size() +
-                                       tables_.up.size()) *
-                 sizeof(std::int32_t));
+          sizeof(std::int32_t);
 }
 
 std::int64_t EstimateSnapshotHeapBytes(const SnapshotData& snapshot) {
@@ -219,7 +216,8 @@ class MmapSource final : public SnapshotSource {
     for (const SnapshotSection id : sections) {
       const SnapshotSectionEntry& entry =
           header_.sections[static_cast<std::uint32_t>(id) - 1];
-      if (Status s = v2::VerifySectionDigest(base, entry, id, path_);
+      if (Status s =
+              v2::VerifySectionDigest(base + entry.offset, entry, id, path_);
           !s.ok()) {
         return s;
       }
@@ -312,12 +310,11 @@ StatusOr<std::shared_ptr<const SnapshotSource>> MmapSource::Open(
                             std::strerror(err));
   }
   const std::int64_t size = static_cast<std::int64_t>(st.st_size);
-  if (size < kSnapshotV2HeaderBytes) {
-    ::close(fd);
-    return Status::OutOfRange(path + ": header: truncated snapshot");
-  }
-  void* base = ::mmap(nullptr, static_cast<std::size_t>(size), PROT_READ,
-                      MAP_PRIVATE, fd, 0);
+  // An empty file cannot be mapped; ParseV2Header reports it truncated
+  // without touching the (null) base.
+  void* base = size > 0 ? ::mmap(nullptr, static_cast<std::size_t>(size),
+                                 PROT_READ, MAP_PRIVATE, fd, 0)
+                        : nullptr;
   // The mapping keeps its own reference to the file; the descriptor is
   // only needed to create it.
   ::close(fd);
@@ -328,7 +325,7 @@ StatusOr<std::shared_ptr<const SnapshotSource>> MmapSource::Open(
   if (Status s = v2::ParseV2Header(static_cast<const unsigned char*>(base),
                                    size, path, &header);
       !s.ok()) {
-    ::munmap(base, static_cast<std::size_t>(size));
+    if (base != nullptr) ::munmap(base, static_cast<std::size_t>(size));
     return s;
   }
   return std::shared_ptr<const SnapshotSource>(
@@ -342,13 +339,7 @@ StatusOr<std::shared_ptr<const SnapshotSource>> MmapSource::Open(
 
 StatusOr<std::shared_ptr<const SnapshotSource>> OpenSnapshotSource(
     const std::string& path, SnapshotMemoryMode mode) {
-  StatusOr<std::uint32_t> version = ReadSnapshotVersion(path);
-  if (!version.ok()) return version.status();
-  if (mode == SnapshotMemoryMode::kMmap && *version == 2) {
-    return MmapSource::Open(path);
-  }
-  // Heap mode, and the documented fallback: a v1 file has no section
-  // directory to map against, so kMmap degrades to the eager heap load.
+  if (mode == SnapshotMemoryMode::kMmap) return MmapSource::Open(path);
   StatusOr<SnapshotData> snapshot = LoadSnapshot(path);
   if (!snapshot.ok()) return snapshot.status();
   return std::shared_ptr<const SnapshotSource>(

@@ -5,10 +5,10 @@
 // hierarchy tree arrays, the binary-lifting jump tables, subtree member
 // ranges, and the density ranking. Two implementations:
 //
-//   * HeapSource — wraps a fully validated SnapshotData (the v1 bulk-read
-//     path, or an eagerly loaded v2 file). Everything is heap-resident;
-//     Ensure() is a no-op.
-//   * MmapSource — a read-only mapping of a .nucsnap v2 file. Spans point
+//   * HeapSource — wraps a fully validated SnapshotData (an eager
+//     LoadSnapshot, or a chain resolved in memory). Everything is
+//     heap-resident; Ensure() is a no-op.
+//   * MmapSource — a read-only mapping of a .nucsnap file. Spans point
 //     straight into the mapping (zero-copy); per-section digests and
 //     structural invariants are verified lazily, on the first query that
 //     needs them, in dependency groups. Eviction is an munmap, not a
@@ -36,8 +36,8 @@ namespace nucleus {
 
 /// How a serving path should hold a snapshot in memory.
 enum class SnapshotMemoryMode {
-  kHeap,  // bulk read + validate + heap rebuild (v1 semantics)
-  kMmap,  // map the file, verify lazily, serve zero-copy (v2 files only)
+  kHeap,  // eager read + validate + heap rebuild (LoadSnapshot)
+  kMmap,  // map the file, verify lazily, serve zero-copy
 };
 
 /// Verification demands a query kind can place on a source, OR-able.
@@ -90,9 +90,9 @@ class SnapshotSource {
   virtual std::int64_t MappedBytes() const = 0;
 };
 
-/// Heap-resident source wrapping a validated SnapshotData. Adopts the
-/// snapshot's index tables (builds them if absent) and precomputes the
-/// density ranking.
+/// Heap-resident source wrapping a validated SnapshotData. Serves the
+/// snapshot's own index tables (building them into it if absent, so they
+/// are held once) and precomputes the density ranking.
 class HeapSource final : public SnapshotSource {
  public:
   explicit HeapSource(SnapshotData snapshot);
@@ -117,12 +117,14 @@ class HeapSource final : public SnapshotSource {
     return snapshot_.hierarchy.NodeOfCliqueArray();
   }
   std::span<const std::int32_t> Depths() const override {
-    return tables_.depth;
+    return snapshot_.index_tables.depth;
   }
   std::span<const std::int32_t> UpTable() const override {
-    return tables_.up;
+    return snapshot_.index_tables.up;
   }
-  std::int32_t IndexLevels() const override { return tables_.levels; }
+  std::int32_t IndexLevels() const override {
+    return snapshot_.index_tables.levels;
+  }
   std::span<const std::int32_t> DensityRanking() const override {
     return ranking_;
   }
@@ -143,7 +145,6 @@ class HeapSource final : public SnapshotSource {
   SnapshotData snapshot_;
   std::vector<Lambda> node_lambda_;
   std::vector<std::int32_t> node_parent_;
-  HierarchyIndexTables tables_;
   std::vector<std::int32_t> ranking_;
   std::int64_t heap_bytes_ = 0;
 };
@@ -153,9 +154,9 @@ class HeapSource final : public SnapshotSource {
 /// charges this against its byte budget for heap tenants.
 std::int64_t EstimateSnapshotHeapBytes(const SnapshotData& snapshot);
 
-/// Opens `path` as a SnapshotSource. kMmap maps v2 files zero-copy;
-/// kHeap — and, as a documented fallback, kMmap over a v1 file — loads
-/// eagerly through the version-dispatching LoadSnapshot into a HeapSource.
+/// Opens `path` as a SnapshotSource: kMmap maps the file zero-copy, kHeap
+/// loads it eagerly through LoadSnapshot into a HeapSource. Both reject a
+/// legacy v1 file with a Status naming `nucleus_cli snapshot-upgrade`.
 StatusOr<std::shared_ptr<const SnapshotSource>> OpenSnapshotSource(
     const std::string& path, SnapshotMemoryMode mode);
 

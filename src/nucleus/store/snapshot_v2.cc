@@ -13,10 +13,18 @@
 
 namespace nucleus {
 
-// v2 is defined as a little-endian format served zero-copy from a mapping;
+// The format is defined as little-endian and served zero-copy from a mapping;
 // a big-endian port would need byte-swapping shims in the source layer.
 static_assert(std::endian::native == std::endian::little,
-              ".nucsnap v2 requires a little-endian host");
+              ".nucsnap requires a little-endian host");
+
+namespace {
+
+/// Magic of the retired version-1 layout: recognized by the loaders only to
+/// point at `snapshot-upgrade`, read only by UpgradeSnapshot.
+constexpr char kSnapshotV1Magic[8] = {'N', 'U', 'C', 'S', 'N', 'A', 'P', '1'};
+
+}  // namespace
 
 namespace store_v2_internal {
 
@@ -96,27 +104,10 @@ Status DirectoryError(const std::string& path, const std::string& reason) {
   return Status::InvalidArgument(path + ": directory: " + reason);
 }
 
-}  // namespace
-
-Status ParseV2Header(const unsigned char* data, std::int64_t file_size,
-                     const std::string& path, V2Header* header) {
-  if (file_size < kSnapshotV2HeaderBytes) {
-    return Status::OutOfRange(path + ": header: truncated snapshot");
-  }
-  if (std::memcmp(data, kSnapshotV2Magic, sizeof(kSnapshotV2Magic)) != 0) {
-    return HeaderError(path, "bad magic (not a snapshot file)");
-  }
-  const std::uint32_t version = ReadLe<std::uint32_t>(data + 8);
-  if (version != kSnapshotV2Version) {
-    return HeaderError(path, "unsupported snapshot version " +
-                                 std::to_string(version));
-  }
-  const std::uint32_t flags = ReadLe<std::uint32_t>(data + 12);
-  if (flags != 0) {
-    return HeaderError(path, "unknown snapshot flags");
-  }
-  const std::int32_t family = ReadLe<std::int32_t>(data + 16);
-  const std::int32_t algorithm = ReadLe<std::int32_t>(data + 20);
+/// Family, algorithm and the non-negative counts: the header checks both
+/// layouts share (the legacy v1 reader runs them too).
+Status ValidateHeaderIdentity(const std::string& path, std::int32_t family,
+                              std::int32_t algorithm, V2Header* header) {
   if (family < 0 ||
       family > static_cast<std::int32_t>(Family::kNucleus34)) {
     return HeaderError(path, "invalid family");
@@ -127,6 +118,62 @@ Status ParseV2Header(const unsigned char* data, std::int64_t file_size,
   }
   header->meta.family = static_cast<Family>(family);
   header->meta.algorithm = static_cast<Algorithm>(algorithm);
+  if (header->meta.num_vertices < 0 || header->meta.num_edges < 0 ||
+      header->meta.num_cliques < 0 || header->meta.max_lambda < 0 ||
+      header->num_nodes < 1) {
+    return HeaderError(path, "impossible counts");
+  }
+  return Status::Ok();
+}
+
+/// Bounds every count by the file size BEFORE any length arithmetic: a
+/// crafted 2^62 count must not wrap the int64 multiplications and reach an
+/// allocation.
+Status BoundCountsByFileSize(const std::string& path, const V2Header& header,
+                             std::int64_t file_size) {
+  const std::int64_t max_entries = file_size / 4;  // every array is >= int32
+  if (header.meta.num_cliques > max_entries ||
+      header.num_nodes > max_entries ||
+      static_cast<std::int64_t>(header.levels) * header.num_nodes >
+          max_entries ||
+      header.num_nodes > file_size / 8) {
+    return HeaderError(
+        path, "size mismatch (header counts exceed the file size; "
+              "truncated or corrupt)");
+  }
+  return Status::Ok();
+}
+
+// Below the legacy v1 header size a file is no snapshot of either layout.
+constexpr std::int64_t kV1HeaderBytes = 64;
+
+}  // namespace
+
+Status ParseV2Header(const unsigned char* data, std::int64_t file_size,
+                     const std::string& path, V2Header* header) {
+  if (file_size < kV1HeaderBytes) {
+    return Status::OutOfRange(path + ": header: truncated snapshot");
+  }
+  if (std::memcmp(data, kSnapshotV1Magic, sizeof(kSnapshotV1Magic)) == 0) {
+    return HeaderError(path,
+                       "legacy v1 snapshot; convert it with `nucleus_cli "
+                       "snapshot-upgrade`");
+  }
+  if (std::memcmp(data, kSnapshotV2Magic, sizeof(kSnapshotV2Magic)) != 0) {
+    return HeaderError(path, "bad magic (not a snapshot file)");
+  }
+  if (file_size < kSnapshotV2HeaderBytes) {
+    return Status::OutOfRange(path + ": header: truncated snapshot");
+  }
+  const std::uint32_t version = ReadLe<std::uint32_t>(data + 8);
+  if (version != kSnapshotV2Version) {
+    return HeaderError(path, "unsupported snapshot version " +
+                                 std::to_string(version));
+  }
+  const std::uint32_t flags = ReadLe<std::uint32_t>(data + 12);
+  if (flags != 0) {
+    return HeaderError(path, "unknown snapshot flags");
+  }
   header->meta.num_vertices = ReadLe<std::int32_t>(data + 24);
   header->meta.num_edges = ReadLe<std::int64_t>(data + 28);
   header->meta.graph_fingerprint = ReadLe<std::uint64_t>(data + 36);
@@ -137,10 +184,11 @@ Status ParseV2Header(const unsigned char* data, std::int64_t file_size,
   header->num_ranked = ReadLe<std::int32_t>(data + 64);
   const std::uint32_t section_count = ReadLe<std::uint32_t>(data + 68);
 
-  if (header->meta.num_vertices < 0 || header->meta.num_edges < 0 ||
-      header->meta.num_cliques < 0 || header->meta.max_lambda < 0 ||
-      header->num_nodes < 1) {
-    return HeaderError(path, "impossible counts");
+  if (Status s = ValidateHeaderIdentity(path, ReadLe<std::int32_t>(data + 16),
+                                        ReadLe<std::int32_t>(data + 20),
+                                        header);
+      !s.ok()) {
+    return s;
   }
   if (header->levels < 1 || header->levels > 32) {
     return HeaderError(path, "invalid index levels");
@@ -152,18 +200,8 @@ Status ParseV2Header(const unsigned char* data, std::int64_t file_size,
     return HeaderError(path, "unexpected section count " +
                                  std::to_string(section_count));
   }
-  // Bound every count by the file size BEFORE the length arithmetic below,
-  // exactly like v1's BoundCountsByFileSize: a crafted 2^62 count must not
-  // wrap the int64 multiplications and reach an allocation.
-  const std::int64_t max_entries = file_size / 4;
-  if (header->meta.num_cliques > max_entries ||
-      header->num_nodes > max_entries ||
-      static_cast<std::int64_t>(header->levels) * header->num_nodes >
-          max_entries ||
-      header->num_nodes > file_size / 8) {
-    return HeaderError(
-        path, "size mismatch (header counts exceed the file size; "
-              "truncated or corrupt)");
+  if (Status s = BoundCountsByFileSize(path, *header, file_size); !s.ok()) {
+    return s;
   }
 
   // Directory digest covers preamble + directory: corrupting an offset,
@@ -223,11 +261,11 @@ Status ParseV2Header(const unsigned char* data, std::int64_t file_size,
   return Status::Ok();
 }
 
-Status VerifySectionDigest(const unsigned char* base,
+Status VerifySectionDigest(const void* data,
                            const SnapshotSectionEntry& entry,
                            SnapshotSection section, const std::string& path) {
-  const std::uint64_t computed = SectionDigest(
-      base + entry.offset, static_cast<std::size_t>(entry.length));
+  const std::uint64_t computed =
+      SectionDigest(data, static_cast<std::size_t>(entry.length));
   if (computed != entry.digest) {
     return Status::InvalidArgument(path + ": " +
                                    std::string(SectionName(section)) +
@@ -450,7 +488,8 @@ using store_v2_internal::V2Header;
 struct V2Payload {
   std::vector<Lambda> node_lambda;
   std::vector<std::int32_t> node_parent;
-  HierarchyIndexTables tables;
+  const HierarchyIndexTables* tables = nullptr;  // the snapshot's, or built
+  HierarchyIndexTables built_tables;
   std::vector<std::int64_t> sub_begin;
   std::vector<std::int64_t> sub_end;
   std::vector<std::int32_t> cliques_pre;
@@ -520,13 +559,14 @@ struct SectionPlan {
   const void* data = nullptr;
 };
 
-Status WriteSnapshotV2To(const SnapshotData& snapshot,
+Status WriteSnapshotFile(const SnapshotData& snapshot,
                          const V2Payload& payload, std::FILE* f,
                          const std::string& path) {
   const NucleusHierarchy& h = snapshot.hierarchy;
   const std::int32_t num_nodes = static_cast<std::int32_t>(h.NumNodes());
   const std::int64_t num_cliques = h.NumCliques();
-  const std::int32_t levels = payload.tables.levels;
+  const HierarchyIndexTables& tables = *payload.tables;
+  const std::int32_t levels = tables.levels;
   const std::int32_t num_ranked =
       static_cast<std::int32_t>(payload.ranking.size());
 
@@ -540,10 +580,10 @@ Status WriteSnapshotV2To(const SnapshotData& snapshot,
       {SnapshotSection::kNodeOfClique, 0, num_cliques * 4,
        ArrayDigest(h.NodeOfCliqueArray()), h.NodeOfCliqueArray().data()},
       {SnapshotSection::kDepth, 0, num_nodes * 4,
-       ArrayDigest(payload.tables.depth), payload.tables.depth.data()},
+       ArrayDigest(tables.depth), tables.depth.data()},
       {SnapshotSection::kUp, 0,
        static_cast<std::int64_t>(levels) * num_nodes * 4,
-       ArrayDigest(payload.tables.up), payload.tables.up.data()},
+       ArrayDigest(tables.up), tables.up.data()},
       {SnapshotSection::kSubBegin, 0, num_nodes * 8,
        ArrayDigest(payload.sub_begin), payload.sub_begin.data()},
       {SnapshotSection::kSubEnd, 0, num_nodes * 8,
@@ -611,9 +651,40 @@ Status WriteSnapshotV2To(const SnapshotData& snapshot,
   return store_internal::FlushToDevice(f, path);
 }
 
+/// Reads the preamble + directory of an open file and validates them.
+Status ReadHeader(std::FILE* f, const std::string& path, V2Header* header) {
+  StatusOr<std::int64_t> size = FileSize(f, path);
+  if (!size.ok()) return size.status();
+  unsigned char bytes[kSnapshotV2HeaderBytes];
+  const auto want = static_cast<std::size_t>(
+      std::min<std::int64_t>(*size, kSnapshotV2HeaderBytes));
+  if (std::fread(bytes, 1, want, f) != want) {
+    return Status::OutOfRange(path + ": header: truncated snapshot");
+  }
+  return store_v2_internal::ParseV2Header(bytes, *size, path, header);
+}
+
+/// Reads one section straight into the vector that keeps it and checks its
+/// digest: no whole-file buffer, so a load holds each byte once.
+template <typename T>
+Status ReadSection(std::FILE* f, const V2Header& header, SnapshotSection id,
+                   const std::string& path, std::vector<T>* out) {
+  const SnapshotSectionEntry& entry =
+      header.sections[static_cast<std::uint32_t>(id) - 1];
+  const auto bytes = static_cast<std::size_t>(entry.length);
+  out->resize(bytes / sizeof(T));
+  if (::fseeko(f, entry.offset, SEEK_SET) != 0 ||
+      std::fread(out->data(), 1, bytes, f) != bytes) {
+    return Status::OutOfRange(path + ": " +
+                              store_v2_internal::SectionName(id) +
+                              ": truncated snapshot");
+  }
+  return store_v2_internal::VerifySectionDigest(out->data(), entry, id, path);
+}
+
 }  // namespace
 
-Status SaveSnapshotV2(const SnapshotData& snapshot, const std::string& path) {
+Status SaveSnapshot(const SnapshotData& snapshot, const std::string& path) {
   const NucleusHierarchy& h = snapshot.hierarchy;
   NUCLEUS_CHECK_MSG(h.NumNodes() >= 1,
                     "snapshot requires a built hierarchy (build_tree)");
@@ -628,10 +699,14 @@ Status SaveSnapshotV2(const SnapshotData& snapshot, const std::string& path) {
     payload.node_lambda[i] = h.node(i).lambda;
     payload.node_parent[i] = h.node(i).parent;
   }
-  // v2 always ships the jump tables: the whole point of the layout is that
-  // a load never rebuilds anything.
-  payload.tables = snapshot.has_index ? snapshot.index_tables
-                                      : HierarchyIndex(h).Tables();
+  // Every snapshot ships the jump tables: the whole point of the layout is
+  // that a load never rebuilds anything.
+  if (snapshot.has_index) {
+    payload.tables = &snapshot.index_tables;
+  } else {
+    payload.built_tables = HierarchyIndex(h).Tables();
+    payload.tables = &payload.built_tables;
+  }
   BuildMemberStore(h, &payload);
   payload.ranking.reserve(static_cast<std::size_t>(h.NumNuclei()));
   for (std::int32_t i = 0; i < num_nodes; ++i) {
@@ -647,115 +722,96 @@ Status SaveSnapshotV2(const SnapshotData& snapshot, const std::string& path) {
 
   return store_internal::WriteFileAtomically(
       path, [&](std::FILE* f, const std::string& temp_path) {
-        return WriteSnapshotV2To(snapshot, payload, f, temp_path);
+        return WriteSnapshotFile(snapshot, payload, f, temp_path);
       });
 }
 
-StatusOr<SnapshotData> LoadSnapshotV2(const std::string& path) {
+StatusOr<SnapshotData> LoadSnapshot(const std::string& path) {
   FilePtr file(std::fopen(path.c_str(), "rb"));
   if (file == nullptr) {
     return Status::NotFound("cannot open " + path);
   }
-  StatusOr<std::int64_t> size = FileSize(file.get(), path);
-  if (!size.ok()) return size.status();
-  std::vector<unsigned char> bytes;
-  if (*size < kSnapshotV2HeaderBytes) {
-    return Status::OutOfRange(path + ": header: truncated snapshot");
-  }
-  bytes.resize(static_cast<std::size_t>(*size));
-  if (std::fread(bytes.data(), 1, bytes.size(), file.get()) != bytes.size()) {
-    return Status::OutOfRange(path + ": header: truncated snapshot");
-  }
-
-  namespace v2 = store_v2_internal;
+  std::FILE* f = file.get();
   V2Header header;
-  if (Status s = v2::ParseV2Header(bytes.data(), *size, path, &header);
-      !s.ok()) {
-    return s;
-  }
-  // Eager load: every section is digest-checked and structurally validated
-  // up front, mirroring the v1 reader's guarantees (this is the heap path;
-  // laziness lives in MmapSource).
-  for (std::uint32_t i = 0; i < kSnapshotV2SectionCount; ++i) {
-    if (Status s = v2::VerifySectionDigest(
-            bytes.data(), header.sections[i],
-            static_cast<SnapshotSection>(i + 1), path);
-        !s.ok()) {
-      return s;
-    }
-  }
-  const auto section = [&](SnapshotSection id) {
-    return bytes.data() +
-           header.sections[static_cast<std::uint32_t>(id) - 1].offset;
-  };
-  const auto* lambda =
-      reinterpret_cast<const Lambda*>(section(SnapshotSection::kLambda));
-  const auto* node_lambda = reinterpret_cast<const Lambda*>(
-      section(SnapshotSection::kNodeLambda));
-  const auto* node_parent = reinterpret_cast<const std::int32_t*>(
-      section(SnapshotSection::kNodeParent));
-  const auto* node_of_clique = reinterpret_cast<const std::int32_t*>(
-      section(SnapshotSection::kNodeOfClique));
-  const auto* depth =
-      reinterpret_cast<const std::int32_t*>(section(SnapshotSection::kDepth));
-  const auto* up =
-      reinterpret_cast<const std::int32_t*>(section(SnapshotSection::kUp));
-  const auto* sub_begin = reinterpret_cast<const std::int64_t*>(
-      section(SnapshotSection::kSubBegin));
-  const auto* sub_end = reinterpret_cast<const std::int64_t*>(
-      section(SnapshotSection::kSubEnd));
-  const auto* cliques_pre = reinterpret_cast<const std::int32_t*>(
-      section(SnapshotSection::kCliquesPre));
-  const auto* ranking = reinterpret_cast<const std::int32_t*>(
-      section(SnapshotSection::kDensityRanking));
+  if (Status s = ReadHeader(f, path, &header); !s.ok()) return s;
 
-  if (Status s = v2::ValidateTreeSections(path, header, node_lambda,
-                                          node_parent);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = v2::ValidateAssignSections(path, header, lambda,
-                                            node_lambda, node_of_clique);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = v2::ValidateIndexSections(path, header, node_parent, depth,
-                                           up);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = v2::ValidateSubSections(path, header, node_parent,
-                                         node_of_clique, sub_begin, sub_end);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = v2::ValidateCliquesPre(path, header, node_of_clique,
-                                        sub_begin, sub_end, cliques_pre);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = v2::ValidateRankingSection(path, header, node_lambda,
-                                            ranking);
-      !s.ok()) {
-    return s;
-  }
-
+  // Eager load: every section is digest-checked (in file order) and then
+  // structurally validated before anything is served; laziness lives in
+  // MmapSource. The member store and the ranking are read only to be
+  // validated: the loaded hierarchy derives both.
+  namespace v2 = store_v2_internal;
   SnapshotData snapshot;
+  std::vector<Lambda> node_lambda;
+  std::vector<std::int32_t> node_parent;
+  std::vector<std::int32_t> node_of_clique;
+  HierarchyIndexTables& tables = snapshot.index_tables;
+  {
+    std::vector<std::int64_t> sub_begin;
+    std::vector<std::int64_t> sub_end;
+    std::vector<std::int32_t> cliques_pre;
+    std::vector<std::int32_t> ranking;
+    Status s;
+    const auto read = [&](SnapshotSection id, auto* out) {
+      if (s.ok()) s = ReadSection(f, header, id, path, out);
+    };
+    read(SnapshotSection::kLambda, &snapshot.peel.lambda);
+    read(SnapshotSection::kNodeLambda, &node_lambda);
+    read(SnapshotSection::kNodeParent, &node_parent);
+    read(SnapshotSection::kNodeOfClique, &node_of_clique);
+    read(SnapshotSection::kDepth, &tables.depth);
+    read(SnapshotSection::kUp, &tables.up);
+    read(SnapshotSection::kSubBegin, &sub_begin);
+    read(SnapshotSection::kSubEnd, &sub_end);
+    read(SnapshotSection::kCliquesPre, &cliques_pre);
+    read(SnapshotSection::kDensityRanking, &ranking);
+    if (s.ok()) {
+      s = v2::ValidateTreeSections(path, header, node_lambda.data(),
+                                   node_parent.data());
+    }
+    if (s.ok()) {
+      s = v2::ValidateAssignSections(path, header, snapshot.peel.lambda.data(),
+                                     node_lambda.data(),
+                                     node_of_clique.data());
+    }
+    if (s.ok()) {
+      s = v2::ValidateIndexSections(path, header, node_parent.data(),
+                                    tables.depth.data(), tables.up.data());
+    }
+    if (s.ok()) {
+      s = v2::ValidateSubSections(path, header, node_parent.data(),
+                                  node_of_clique.data(), sub_begin.data(),
+                                  sub_end.data());
+    }
+    if (s.ok()) {
+      s = v2::ValidateCliquesPre(path, header, node_of_clique.data(),
+                                 sub_begin.data(), sub_end.data(),
+                                 cliques_pre.data());
+    }
+    if (s.ok()) {
+      s = v2::ValidateRankingSection(path, header, node_lambda.data(),
+                                     ranking.data());
+    }
+    if (!s.ok()) return s;
+  }
+
   snapshot.meta = header.meta;
-  snapshot.peel.lambda.assign(lambda, lambda + header.meta.num_cliques);
   snapshot.peel.max_lambda = header.meta.max_lambda;
   snapshot.has_index = true;
-  snapshot.index_tables.depth.assign(depth, depth + header.num_nodes);
-  snapshot.index_tables.up.assign(
-      up, up + static_cast<std::int64_t>(header.levels) * header.num_nodes);
-  snapshot.index_tables.levels = header.levels;
+  tables.levels = header.levels;
   snapshot.hierarchy = NucleusHierarchy::FromParts(
-      std::vector<Lambda>(node_lambda, node_lambda + header.num_nodes),
-      std::vector<std::int32_t>(node_parent,
-                                node_parent + header.num_nodes),
-      std::vector<std::int32_t>(node_of_clique,
-                                node_of_clique + header.meta.num_cliques));
+      std::move(node_lambda), std::move(node_parent),
+      std::move(node_of_clique));
   return snapshot;
+}
+
+StatusOr<SnapshotMeta> ReadSnapshotMeta(const std::string& path) {
+  FilePtr file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) {
+    return Status::NotFound("cannot open " + path);
+  }
+  V2Header header;
+  if (Status s = ReadHeader(file.get(), path, &header); !s.ok()) return s;
+  return header.meta;
 }
 
 StatusOr<std::uint32_t> ReadSnapshotVersion(const std::string& path) {
@@ -767,7 +823,7 @@ StatusOr<std::uint32_t> ReadSnapshotVersion(const std::string& path) {
   if (std::fread(magic, 1, sizeof(magic), file.get()) != sizeof(magic)) {
     return Status::OutOfRange(path + ": header: truncated snapshot");
   }
-  if (std::memcmp(magic, kSnapshotMagic, sizeof(kSnapshotMagic)) == 0) {
+  if (std::memcmp(magic, kSnapshotV1Magic, sizeof(kSnapshotV1Magic)) == 0) {
     return std::uint32_t{1};
   }
   if (std::memcmp(magic, kSnapshotV2Magic, sizeof(kSnapshotV2Magic)) == 0) {
@@ -778,13 +834,167 @@ StatusOr<std::uint32_t> ReadSnapshotVersion(const std::string& path) {
                                  "file)");
 }
 
+// ---------------------------------------------------------------------------
+// Legacy v1 reader, reachable only from UpgradeSnapshot. Version 1 packed
+// the arrays back to back behind a 64-byte header (magic "NUCSNAP1",
+// version, flags with bit 0 = index tables present, the SnapshotMeta
+// fields, node count, index levels) and closed the file with one byte-wise
+// FNV-1a checksum over everything before it:
+//
+//   lambda |K_r|, node_lambda nodes, node_parent nodes,
+//   node_of_clique |K_r|, [depth nodes, up levels*nodes]   (all int32)
+//
+// Only that framing lives here; the structural checks are the v2
+// validators above.
+
+namespace {
+
+constexpr std::uint32_t kV1Version = 1;
+constexpr std::uint32_t kV1FlagHasIndex = 1u;
+
+Status ReadV1Header(store_internal::ChecksummingReader* reader,
+                    const std::string& path, V2Header* header,
+                    bool* has_index) {
+  char magic[8];  // UpgradeSnapshot dispatched on it; read for the checksum
+  if (Status s = reader->Read(magic, sizeof(magic)); !s.ok()) return s;
+  std::uint32_t version = 0;
+  if (Status s = reader->ReadValue(&version); !s.ok()) return s;
+  if (version != kV1Version) {
+    return store_v2_internal::HeaderError(
+        path, "unsupported snapshot version " + std::to_string(version));
+  }
+  std::uint32_t flags = 0;
+  std::int32_t family = 0;
+  std::int32_t algorithm = 0;
+  SnapshotMeta& meta = header->meta;
+  Status s = reader->ReadValue(&flags);
+  if (s.ok()) s = reader->ReadValue(&family);
+  if (s.ok()) s = reader->ReadValue(&algorithm);
+  if (s.ok()) s = reader->ReadValue(&meta.num_vertices);
+  if (s.ok()) s = reader->ReadValue(&meta.num_edges);
+  if (s.ok()) s = reader->ReadValue(&meta.graph_fingerprint);
+  if (s.ok()) s = reader->ReadValue(&meta.num_cliques);
+  if (s.ok()) s = reader->ReadValue(&meta.max_lambda);
+  if (s.ok()) s = reader->ReadValue(&header->num_nodes);
+  if (s.ok()) s = reader->ReadValue(&header->levels);
+  if (!s.ok()) return s;
+
+  if (flags & ~kV1FlagHasIndex) {
+    return store_v2_internal::HeaderError(path, "unknown snapshot flags");
+  }
+  if (Status identity = store_v2_internal::ValidateHeaderIdentity(
+          path, family, algorithm, header);
+      !identity.ok()) {
+    return identity;
+  }
+  *has_index = (flags & kV1FlagHasIndex) != 0;
+  // levels is bounded by the depth of a binary-lifted tree over int32 ids.
+  if (*has_index ? (header->levels < 1 || header->levels > 32)
+                 : header->levels != 0) {
+    return store_v2_internal::HeaderError(path, "invalid index levels");
+  }
+  return Status::Ok();
+}
+
+StatusOr<SnapshotData> LoadV1Snapshot(const std::string& path) {
+  FilePtr file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) {
+    return Status::NotFound("cannot open " + path);
+  }
+  store_internal::ChecksummingReader reader(file.get(), path);
+  V2Header header;
+  bool has_index = false;
+  if (Status s = ReadV1Header(&reader, path, &header, &has_index); !s.ok()) {
+    return s;
+  }
+
+  // Size the whole file from the header BEFORE any allocation: a corrupt
+  // count can neither over-allocate nor hide trailing garbage.
+  StatusOr<std::int64_t> actual = FileSize(file.get(), path);
+  if (!actual.ok()) return actual.status();
+  if (Status s =
+          store_v2_internal::BoundCountsByFileSize(path, header, *actual);
+      !s.ok()) {
+    return s;
+  }
+  const std::int64_t nodes = header.num_nodes;
+  const std::int64_t expected =
+      store_v2_internal::kV1HeaderBytes + 8 +
+      4 * (2 * header.meta.num_cliques + 2 * nodes +
+           (has_index ? nodes + header.levels * nodes : 0));
+  if (*actual != expected) {
+    return Status::InvalidArgument(
+        path + ": header: size mismatch (expected " +
+        std::to_string(expected) + " bytes, file has " +
+        std::to_string(*actual) + "; truncated or trailing data)");
+  }
+
+  SnapshotData snapshot;
+  std::vector<Lambda> node_lambda;
+  std::vector<std::int32_t> node_parent;
+  std::vector<std::int32_t> node_of_clique;
+  HierarchyIndexTables& tables = snapshot.index_tables;
+  Status s;
+  const auto read = [&](const char* section, std::int64_t count,
+                        auto* values) {
+    reader.BeginSection(section);
+    if (s.ok()) s = reader.ReadArray(count, values);
+  };
+  read("lambda", header.meta.num_cliques, &snapshot.peel.lambda);
+  read("node_lambda", nodes, &node_lambda);
+  read("node_parent", nodes, &node_parent);
+  read("node_of_clique", header.meta.num_cliques, &node_of_clique);
+  if (has_index) {
+    read("depth", nodes, &tables.depth);
+    read("up", header.levels * nodes, &tables.up);
+  }
+  if (!s.ok()) return s;
+
+  const std::uint64_t computed = reader.checksum();
+  std::uint64_t stored = 0;
+  if (std::fread(&stored, 1, sizeof(stored), file.get()) != sizeof(stored)) {
+    return Status::OutOfRange(path + ": footer: truncated snapshot");
+  }
+  if (stored != computed) {
+    return Status::InvalidArgument(
+        path + ": footer: checksum mismatch (corrupt snapshot)");
+  }
+
+  namespace v2 = store_v2_internal;
+  s = v2::ValidateTreeSections(path, header, node_lambda.data(),
+                               node_parent.data());
+  if (s.ok()) {
+    s = v2::ValidateAssignSections(path, header, snapshot.peel.lambda.data(),
+                                   node_lambda.data(), node_of_clique.data());
+  }
+  if (s.ok() && has_index) {
+    s = v2::ValidateIndexSections(path, header, node_parent.data(),
+                                  tables.depth.data(), tables.up.data());
+  }
+  if (!s.ok()) return s;
+
+  snapshot.meta = header.meta;
+  snapshot.peel.max_lambda = header.meta.max_lambda;
+  snapshot.has_index = has_index;
+  tables.levels = header.levels;
+  snapshot.hierarchy = NucleusHierarchy::FromParts(
+      std::move(node_lambda), std::move(node_parent),
+      std::move(node_of_clique));
+  return snapshot;
+}
+
+}  // namespace
+
 Status UpgradeSnapshot(const std::string& in_path,
                        const std::string& out_path) {
-  // LoadSnapshot dispatches on the magic, so upgrading is idempotent: a v2
-  // input is validated and rewritten (fresh digests, canonical layout).
-  StatusOr<SnapshotData> snapshot = LoadSnapshot(in_path);
+  StatusOr<std::uint32_t> version = ReadSnapshotVersion(in_path);
+  if (!version.ok()) return version.status();
+  // A v2 input is validated and rewritten (fresh digests, canonical
+  // layout), so upgrading is idempotent.
+  StatusOr<SnapshotData> snapshot =
+      *version == 1 ? LoadV1Snapshot(in_path) : LoadSnapshot(in_path);
   if (!snapshot.ok()) return snapshot.status();
-  return SaveSnapshotV2(*snapshot, out_path);
+  return SaveSnapshot(*snapshot, out_path);
 }
 
 }  // namespace nucleus

@@ -1,17 +1,16 @@
-// .nucsnap format v2: the mmap-friendly, sectioned snapshot layout.
-//
-// v1 (snapshot.h) is a streaming format: one whole-file checksum, arrays
-// packed back to back, every load a bulk read + full validation + heap
-// rebuild. That couples cold-start cost (and resident bytes) to snapshot
-// size — a snapshot larger than RAM cannot serve at all. v2 decouples them:
+// .nucsnap on-disk layout: the sectioned, mmap-friendly format (version 2)
+// that SaveSnapshot writes and every loader serves. The public entry points
+// live in snapshot.h; this header holds the format constants and the
+// internals shared by the eager reader (LoadSnapshot) and the lazy mmap view
+// (store/snapshot_source.cc).
 //
 //   * fixed-width little-endian sections at 8-byte-aligned offsets, so a
 //     mapping of the file IS the serving representation (zero-copy spans,
 //     no FromParts rebuild);
 //   * a section DIRECTORY in the header with one FNV-1a digest per
 //     section, so integrity and structural validation run lazily, per
-//     section, on first access — opening a v2 snapshot validates only the
-//     header + directory (O(sections), not O(bytes));
+//     section, on first access — opening a snapshot through mmap validates
+//     only the header + directory (O(sections), not O(bytes));
 //   * a paged MEMBER STORE: cliques grouped by hierarchy node in DFS
 //     preorder (children in ascending id order, each node's direct group
 //     sorted ascending) plus per-node [sub_begin, sub_end) ranges, so any
@@ -21,8 +20,8 @@
 //   * a precomputed density ranking (lambda >= 1 nodes by lambda
 //     descending, id ascending), so `top` queries never scan the tree.
 //
-// v2 always embeds the binary-lifting index tables (the writer builds them
-// if the source snapshot lacks them). On-disk layout (all integers
+// Every snapshot embeds the binary-lifting index tables (the writer builds
+// them if the SnapshotData lacks them). On-disk layout (all integers
 // little-endian; see README.md in this directory for the full spec):
 //
 //   preamble (72 bytes, fixed):
@@ -42,6 +41,10 @@
 //   sections: each at an 8-byte-aligned offset, zero-padded up to the next
 //     alignment boundary; lengths are fully determined by the preamble
 //     counts, and the digest covers exactly `length` bytes.
+//
+// Files in the retired version-1 layout (magic "NUCSNAP1") are rejected by
+// every loader with a Status that names `nucleus_cli snapshot-upgrade`;
+// UpgradeSnapshot is the only code that still reads them.
 #ifndef NUCLEUS_STORE_SNAPSHOT_V2_H_
 #define NUCLEUS_STORE_SNAPSHOT_V2_H_
 
@@ -81,38 +84,28 @@ inline constexpr std::int64_t kSnapshotV2HeaderBytes =
 /// One parsed directory entry: where a section lives and what its bytes
 /// must hash to. Offsets/lengths are validated against the file size at
 /// open; the digest is checked lazily on first access (MmapSource) or
-/// eagerly (LoadSnapshotV2).
+/// eagerly (LoadSnapshot).
 struct SnapshotSectionEntry {
   std::int64_t offset = 0;
   std::int64_t length = 0;
   std::uint64_t digest = 0;
 };
 
-/// Writes `snapshot` to `path` in the v2 layout (atomically, like
-/// SaveSnapshot). Builds the index tables when the snapshot lacks them and
-/// derives the member store + density ranking from the hierarchy; the
-/// input is not required to carry has_index.
-Status SaveSnapshotV2(const SnapshotData& snapshot, const std::string& path);
-
-/// Loads a v2 file EAGERLY into the same SnapshotData a v1 load produces
-/// (hierarchy rebuilt, index tables attached): the heap path for v2 files,
-/// and the interoperability guarantee that chains, updates and tooling
-/// work on either version. Every section is digest-checked and
-/// structurally validated.
-StatusOr<SnapshotData> LoadSnapshotV2(const std::string& path);
-
-/// Peeks at the magic/version prefix: 1 for v1 files, 2 for v2 files, a
+/// Peeks at the magic prefix: 1 for legacy v1 files, 2 for current files, a
 /// Status for anything else (missing file, foreign magic, truncation).
 StatusOr<std::uint32_t> ReadSnapshotVersion(const std::string& path);
 
-/// Rewrites a snapshot (either version) as v2 at `out_path`. Lossless: the
-/// upgraded file loads to a state that answers every query byte-
-/// identically to the original (pinned in tests/snapshot_v2_test.cc).
+/// Rewrites a snapshot as v2 at `out_path`: the only reader of legacy v1
+/// files (header, size bound and checksum framing, then the same
+/// structural validators as v2). Lossless: the upgraded file loads to a
+/// state that answers every query byte-identically to the original. A v2
+/// input is validated and rewritten, so upgrading is idempotent.
 Status UpgradeSnapshot(const std::string& in_path,
                        const std::string& out_path);
 
-// Shared between the eager reader (LoadSnapshotV2) and the lazy mmap view
-// (store/snapshot_source.cc). Not part of the public store API.
+// Shared between the eager reader (LoadSnapshot), the legacy v1 reader and
+// the lazy mmap view (store/snapshot_source.cc). Not part of the public
+// store API.
 namespace store_v2_internal {
 
 /// Parsed preamble + directory of one v2 file.
@@ -131,18 +124,21 @@ std::int64_t ExpectedSectionLength(SnapshotSection section,
 /// The v2 digest: FNV-1a folded over 8-byte little-endian words (classic
 /// byte-wise FNV-1a over the < 8-byte tail). One multiply per word instead
 /// of per byte keeps cold-start section validation at memory bandwidth —
-/// this is what mmap time-to-first-answer pays, so it matters. v2-only;
-/// v1 files and delta records keep the byte-wise record_io checksum.
+/// this is what mmap time-to-first-answer pays, so it matters. Delta
+/// records (and legacy v1 files) keep the byte-wise record_io checksum.
 std::uint64_t SectionDigest(const void* data, std::size_t size);
 
 /// Validates magic/version/flags/counts, the header digest, and every
 /// directory entry (expected length, aligned in-bounds offset, no overlap,
-/// exact file size). O(header); section BYTES are not touched.
+/// exact file size). O(header); section BYTES are not touched. `data` must
+/// hold min(file_size, kSnapshotV2HeaderBytes) bytes. A legacy v1 file
+/// fails with the snapshot-upgrade hint.
 Status ParseV2Header(const unsigned char* data, std::int64_t file_size,
                      const std::string& path, V2Header* header);
 
-/// FNV-1a over exactly `entry.length` bytes vs. the directory digest.
-Status VerifySectionDigest(const unsigned char* base,
+/// FNV-1a over the `entry.length` bytes at `data` (the section's first
+/// byte) vs. the directory digest.
+Status VerifySectionDigest(const void* data,
                            const SnapshotSectionEntry& entry,
                            SnapshotSection section, const std::string& path);
 

@@ -18,6 +18,7 @@ namespace nucleus {
 namespace {
 
 using testing_util::TempPath;
+using testing_util::TestDataPath;
 
 struct CliResult {
   int code;
@@ -400,26 +401,21 @@ std::string ReadWholeFile(const std::string& path) {
 
 TEST(Cli, SnapshotFormatV2MmapQueryAndServeMatchHeap) {
   const std::string edges_path = WriteTestGraph();
-  const std::string v1_snap = TempPath("cli_fmt_v1.nucsnap");
-  const std::string v2_snap = TempPath("cli_fmt_v2.nucsnap");
+  const std::string snap = TempPath("cli_fmt.nucsnap");
 
   CliResult r = RunArgs({"decompose", "--input", edges_path, "--family",
-                         "truss", "--out-snapshot", v1_snap});
-  EXPECT_EQ(r.code, 0) << r.err;
-  r = RunArgs({"decompose", "--input", edges_path, "--family", "truss",
-               "--snapshot-format", "v2", "--out-snapshot", v2_snap});
+                         "truss", "--out-snapshot", snap});
   EXPECT_EQ(r.code, 0) << r.err;
 
-  // Same graph, same family: the zero-copy mmap path must answer
-  // byte-identically to the v1 heap path.
+  // One file, two memory modes: the zero-copy mmap path must answer
+  // byte-identically to the eager heap path.
   const std::string heap_json = TempPath("cli_fmt_heap.json");
   const std::string mmap_json = TempPath("cli_fmt_mmap.json");
-  r = RunArgs({"query", "--snapshot", v1_snap, "--u", "0", "--v", "1",
-               "--top", "3", "--out-json", heap_json});
+  r = RunArgs({"query", "--snapshot", snap, "--u", "0", "--v", "1", "--top",
+               "3", "--out-json", heap_json});
   EXPECT_EQ(r.code, 0) << r.err;
-  r = RunArgs({"query", "--snapshot", v2_snap, "--memory-mode", "mmap",
-               "--u", "0", "--v", "1", "--top", "3", "--out-json",
-               mmap_json});
+  r = RunArgs({"query", "--snapshot", snap, "--memory-mode", "mmap", "--u",
+               "0", "--v", "1", "--top", "3", "--out-json", mmap_json});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_EQ(ReadWholeFile(heap_json), ReadWholeFile(mmap_json));
 
@@ -431,58 +427,71 @@ TEST(Cli, SnapshotFormatV2MmapQueryAndServeMatchHeap) {
   }
   const std::string heap_answers = TempPath("cli_fmt_heap_a.txt");
   const std::string mmap_answers = TempPath("cli_fmt_mmap_a.txt");
-  r = RunArgs({"serve", "--snapshot", v1_snap, "--queries", queries,
-               "--out", heap_answers});
+  r = RunArgs({"serve", "--snapshot", snap, "--queries", queries, "--out",
+               heap_answers});
   EXPECT_EQ(r.code, 0) << r.err;
-  r = RunArgs({"serve", "--snapshot", v2_snap, "--memory-mode", "mmap",
+  r = RunArgs({"serve", "--snapshot", snap, "--memory-mode", "mmap",
                "--queries", queries, "--out", mmap_answers, "--threads",
                "2"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_EQ(ReadWholeFile(heap_answers), ReadWholeFile(mmap_answers));
 
-  // Mode and format values are validated, and mmap refuses the surfaces
-  // that must materialize heap state.
-  EXPECT_EQ(RunArgs({"query", "--snapshot", v2_snap, "--memory-mode",
-                     "paged", "--u", "0"})
+  // The mode value is validated, the retired format knobs are unknown
+  // flags, and mmap refuses the surfaces that must materialize heap state.
+  EXPECT_EQ(RunArgs({"query", "--snapshot", snap, "--memory-mode", "paged",
+                     "--u", "0"})
                 .code,
             2);
-  EXPECT_EQ(RunArgs({"decompose", "--input", edges_path,
-                     "--snapshot-format", "v3", "--out-snapshot", v2_snap})
-                .code,
-            2);
+  for (const std::string flag : {"--snapshot-format", "--snapshot-index"}) {
+    r = RunArgs({"decompose", "--input", edges_path, flag, "1",
+                 "--out-snapshot", snap});
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_NE(r.err.find("unknown flag"), std::string::npos) << r.err;
+  }
   r = RunArgs({"query", "--input", edges_path, "--memory-mode", "mmap",
                "--u", "0"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("plain --snapshot only"), std::string::npos);
 
-  for (const auto& p : {edges_path, v1_snap, v2_snap, heap_json, mmap_json,
-                        queries, heap_answers, mmap_answers}) {
+  for (const auto& p : {edges_path, snap, heap_json, mmap_json, queries,
+                        heap_answers, mmap_answers}) {
     std::remove(p.c_str());
   }
 }
 
 TEST(Cli, SnapshotUpgradeConvertsV1Losslessly) {
-  const std::string edges_path = WriteTestGraph();
-  const std::string v1_snap = TempPath("cli_up_v1.nucsnap");
+  // A committed v1 snapshot of the Figure 2 graph: no command but
+  // snapshot-upgrade loads it, and the upgraded file answers exactly like
+  // a fresh decomposition, through both memory modes.
+  const std::string v1_snap = TestDataPath("v1/figure2_core_dft.nucsnap");
+  const std::string edges_path = TestDataPath("v1/figure2.txt");
   const std::string v2_snap = TempPath("cli_up_v2.nucsnap");
 
-  CliResult r = RunArgs({"decompose", "--input", edges_path, "--family",
-                         "core", "--out-snapshot", v1_snap});
-  EXPECT_EQ(r.code, 0) << r.err;
+  CliResult r = RunArgs({"query", "--snapshot", v1_snap, "--u", "0"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("snapshot-upgrade"), std::string::npos) << r.err;
+
   r = RunArgs({"snapshot-upgrade", "--snapshot", v1_snap, "--out", v2_snap});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("(v1) -> " + v2_snap + " (v2)"), std::string::npos);
 
-  // The upgraded file answers byte-identically through the mmap path.
-  const std::string v1_json = TempPath("cli_up_v1.json");
-  const std::string v2_json = TempPath("cli_up_v2.json");
-  r = RunArgs({"query", "--snapshot", v1_snap, "--u", "0", "--v", "1",
-               "--out-json", v1_json});
-  EXPECT_EQ(r.code, 0) << r.err;
-  r = RunArgs({"query", "--snapshot", v2_snap, "--memory-mode", "mmap",
-               "--u", "0", "--v", "1", "--out-json", v2_json});
-  EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_EQ(ReadWholeFile(v1_json), ReadWholeFile(v2_json));
+  const auto query_json = [](std::vector<std::string> args) {
+    const std::string path = TempPath("cli_up_q.json");
+    args.insert(args.end(), {"--u", "0", "--v", "8", "--top", "3",
+                             "--out-json", path});
+    const CliResult result = RunArgs(args);
+    EXPECT_EQ(result.code, 0) << result.err;
+    std::string json = ReadWholeFile(path);
+    std::remove(path.c_str());
+    return json;
+  };
+  const std::string fresh = query_json({"query", "--input", edges_path,
+                                        "--family", "core", "--algorithm",
+                                        "dft"});
+  EXPECT_EQ(query_json({"query", "--snapshot", v2_snap}), fresh);
+  EXPECT_EQ(query_json({"query", "--snapshot", v2_snap, "--memory-mode",
+                        "mmap"}),
+            fresh);
 
   // Idempotent: upgrading the v2 result round-trips.
   const std::string again = TempPath("cli_up_again.nucsnap");
@@ -497,10 +506,7 @@ TEST(Cli, SnapshotUpgradeConvertsV1Losslessly) {
                 .code,
             1);
 
-  for (const auto& p :
-       {edges_path, v1_snap, v2_snap, v1_json, v2_json, again}) {
-    std::remove(p.c_str());
-  }
+  for (const auto& p : {v2_snap, again}) std::remove(p.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 # Pipeline exercised: generate a graph -> decompose --out-snapshot ->
 # snapshot-backed `query` answers DIFFED against fresh-decompose answers ->
 # `serve` a scripted session at 1 and 2 threads with byte-identical output
+# -> the same session through mmap -> a committed legacy v1 snapshot refused
+# with the upgrade hint, upgraded, and diffed against a fresh decompose
 # -> corrupt the snapshot and confirm the loader rejects it cleanly
 # -> a loopback-TCP two-tenant session (serve --listen | connect) diffed
 # against its stdin/stdout replay -> a --trace-log session byte-compared
@@ -77,39 +79,62 @@ file(READ ${WORK_DIR}/answers_t1.txt answers)
 expect_match("${answers}" "\"query\": \"lambda\"" "serve answers")
 expect_match("${answers}" "\"query\": \"top\"" "serve answers")
 
-# 3b. Beyond-RAM path: upgrade the v1 snapshot to the v2 mmap layout and
-# serve it zero-copy; query answers and the whole serve transcript must be
-# byte-identical to the heap(v1) path.
-set(SNAP2 ${WORK_DIR}/serve_v2.nucsnap)
-run_cli(0 up_out snapshot-upgrade --snapshot ${SNAP} --out ${SNAP2})
-expect_match("${up_out}" "upgraded .* \\(v1\\) -> .* \\(v2\\)" "snapshot-upgrade")
-run_cli(0 q_mm query --snapshot ${SNAP2} --memory-mode mmap --u 0 --v 1 --out-json ${WORK_DIR}/mmap_q.json)
+# 3b. Beyond-RAM path: serve the same snapshot zero-copy through mmap;
+# query answers and the whole serve transcript must be byte-identical to
+# the heap path.
+run_cli(0 q_mm query --snapshot ${SNAP} --memory-mode mmap --u 0 --v 1 --out-json ${WORK_DIR}/mmap_q.json)
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
   ${WORK_DIR}/snap_q.json ${WORK_DIR}/mmap_q.json RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
-  message(FATAL_ERROR "mmap(v2) query answers differ from heap(v1) answers")
+  message(FATAL_ERROR "mmap query answers differ from heap answers")
 endif()
-run_cli(0 s_mm serve --snapshot ${SNAP2} --memory-mode mmap --queries ${WORK_DIR}/queries.txt --out ${WORK_DIR}/answers_mmap.txt --threads 2)
+run_cli(0 s_mm serve --snapshot ${SNAP} --memory-mode mmap --queries ${WORK_DIR}/queries.txt --out ${WORK_DIR}/answers_mmap.txt --threads 2)
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
   ${WORK_DIR}/answers_t1.txt ${WORK_DIR}/answers_mmap.txt RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
-  message(FATAL_ERROR "mmap(v2) serve transcript differs from the heap(v1) transcript")
+  message(FATAL_ERROR "mmap serve transcript differs from the heap transcript")
 endif()
 
-# Decomposing straight to v2 also serves through mmap.
-run_cli(0 dec_v2 decompose --input ${EDGES} --family truss --snapshot-format v2 --out-snapshot ${WORK_DIR}/direct_v2.nucsnap)
-run_cli(0 q_dv query --snapshot ${WORK_DIR}/direct_v2.nucsnap --memory-mode mmap --u 0 --v 1 --out-json ${WORK_DIR}/direct_q.json)
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  ${WORK_DIR}/snap_q.json ${WORK_DIR}/direct_q.json RESULT_VARIABLE diff)
-if(NOT diff EQUAL 0)
-  message(FATAL_ERROR "decompose --snapshot-format v2 answers differ from the v1 snapshot")
+# 3c. A legacy v1 snapshot (committed fixture, Figure 2 graph) is refused
+# by serve with the upgrade hint; snapshot-upgrade converts it, and the
+# upgraded file serves byte-identically to a fresh-decompose snapshot of
+# the same graph, in both memory modes.
+set(V1_DATA ${CMAKE_CURRENT_LIST_DIR}/../data/v1)
+file(WRITE ${WORK_DIR}/fig_queries.txt "lambda 0
+lambda 8
+common 0 8
+nucleus 0 2
+top 3
+members 1
+")
+execute_process(
+  COMMAND ${NUCLEUS_CLI} serve --snapshot ${V1_DATA}/figure2_core_dft.nucsnap --queries ${WORK_DIR}/fig_queries.txt
+  OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr RESULT_VARIABLE code)
+if(NOT code EQUAL 1)
+  message(FATAL_ERROR "v1 snapshot: exit ${code}, expected 1\n${stderr}")
 endif()
+if(NOT stderr MATCHES "snapshot-upgrade")
+  message(FATAL_ERROR "v1 snapshot: expected the snapshot-upgrade hint\n${stderr}")
+endif()
+set(UPGRADED ${WORK_DIR}/figure2_upgraded.nucsnap)
+run_cli(0 up_out snapshot-upgrade --snapshot ${V1_DATA}/figure2_core_dft.nucsnap --out ${UPGRADED})
+expect_match("${up_out}" "upgraded .* \\(v1\\) -> .* \\(v2\\)" "snapshot-upgrade")
+run_cli(0 dec_fig decompose --input ${V1_DATA}/figure2.txt --family core --algorithm dft --out-snapshot ${WORK_DIR}/figure2_fresh.nucsnap)
+run_cli(0 s_fresh serve --snapshot ${WORK_DIR}/figure2_fresh.nucsnap --queries ${WORK_DIR}/fig_queries.txt --out ${WORK_DIR}/fig_fresh.txt)
+foreach(mode heap mmap)
+  run_cli(0 s_up serve --snapshot ${UPGRADED} --memory-mode ${mode} --queries ${WORK_DIR}/fig_queries.txt --out ${WORK_DIR}/fig_upgraded_${mode}.txt)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+    ${WORK_DIR}/fig_fresh.txt ${WORK_DIR}/fig_upgraded_${mode}.txt RESULT_VARIABLE diff)
+  if(NOT diff EQUAL 0)
+    message(FATAL_ERROR "upgraded v1 snapshot (${mode}) serves differently from a fresh decompose")
+  endif()
+endforeach()
 
 # A v2-magic file whose header bytes are garbage is rejected cleanly, mmap
 # mode included — the ASCII filler lands in the version field, so the
 # version probe fires. (Byte-flip corruption inside real sections needs
 # binary patching CMake script mode cannot do; that sweep lives in
-# tests/snapshot_v2_test.cc.)
+# tests/snapshot_test.cc.)
 string(REPEAT "not a real v2 header or directory " 16 v2_garbage)
 file(WRITE ${WORK_DIR}/bad_v2.nucsnap "NUCSNAP2${v2_garbage}")
 execute_process(

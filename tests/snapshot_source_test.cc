@@ -1,6 +1,6 @@
-// SnapshotSource differential suite: a HeapSource over a v1 file and an
-// MmapSource over the v2 encoding of the SAME snapshot must be
-// indistinguishable to clients — every query kind, every graph in the
+// SnapshotSource differential suite: a HeapSource (eager LoadSnapshot) and
+// an MmapSource over the SAME snapshot file must be indistinguishable to
+// clients — every query kind, every graph in the
 // zoo, every thread count in {1, 2, 4, 8}, compared response by response
 // AND on the serialized protocol bytes. Suites are named MmapSource* so
 // the CI TSan job picks them up.
@@ -17,7 +17,6 @@
 #include "nucleus/serve/query_engine.h"
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/store/snapshot.h"
-#include "nucleus/store/snapshot_v2.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -84,16 +83,12 @@ class MmapSourceZooTest
 TEST_P(MmapSourceZooTest, HeapAndMmapAnswerByteIdenticallyAtAllThreadCounts) {
   const Graph g = GetParam().make();
   const SnapshotData snapshot = BuildSnapshot(g, Family::kTruss23);
-  const std::string v1_path =
-      TempPath("diff_" + GetParam().name + "_v1.nucsnap");
-  const std::string v2_path =
-      TempPath("diff_" + GetParam().name + "_v2.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(snapshot, v1_path).ok());
-  ASSERT_TRUE(SaveSnapshotV2(snapshot, v2_path).ok());
+  const std::string path = TempPath("diff_" + GetParam().name + ".nucsnap");
+  ASSERT_TRUE(SaveSnapshot(snapshot, path).ok());
 
-  auto heap_source = OpenSnapshotSource(v1_path, SnapshotMemoryMode::kHeap);
+  auto heap_source = OpenSnapshotSource(path, SnapshotMemoryMode::kHeap);
   ASSERT_TRUE(heap_source.ok()) << heap_source.status().ToString();
-  auto mmap_source = OpenSnapshotSource(v2_path, SnapshotMemoryMode::kMmap);
+  auto mmap_source = OpenSnapshotSource(path, SnapshotMemoryMode::kMmap);
   ASSERT_TRUE(mmap_source.ok()) << mmap_source.status().ToString();
   EXPECT_EQ((*heap_source)->MappedBytes(), 0);
   EXPECT_GT((*mmap_source)->MappedBytes(), 0);
@@ -126,8 +121,7 @@ TEST_P(MmapSourceZooTest, HeapAndMmapAnswerByteIdenticallyAtAllThreadCounts) {
     }
   }
 
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, MmapSourceZooTest,
@@ -139,13 +133,11 @@ TEST(MmapSource, ZeroCopyFootprintIsSmallerThanHeap) {
   // mapped source's fixed bookkeeping overhead.
   const Graph g = ErdosRenyiGnp(400, 0.05, 11);
   const SnapshotData snapshot = BuildSnapshot(g, Family::kCore12);
-  const std::string v1_path = TempPath("foot_v1.nucsnap");
-  const std::string v2_path = TempPath("foot_v2.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(snapshot, v1_path).ok());
-  ASSERT_TRUE(SaveSnapshotV2(snapshot, v2_path).ok());
+  const std::string path = TempPath("foot.nucsnap");
+  ASSERT_TRUE(SaveSnapshot(snapshot, path).ok());
 
-  auto heap_source = OpenSnapshotSource(v1_path, SnapshotMemoryMode::kHeap);
-  auto mmap_source = OpenSnapshotSource(v2_path, SnapshotMemoryMode::kMmap);
+  auto heap_source = OpenSnapshotSource(path, SnapshotMemoryMode::kHeap);
+  auto mmap_source = OpenSnapshotSource(path, SnapshotMemoryMode::kMmap);
   ASSERT_TRUE(heap_source.ok());
   ASSERT_TRUE(mmap_source.ok());
 
@@ -163,20 +155,17 @@ TEST(MmapSource, ZeroCopyFootprintIsSmallerThanHeap) {
               (*mmap_source)->SubtreeSize(node))
         << "node " << node;
   }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(MmapSource, MetaAndViewsMatchHeapSource) {
   const Graph g = testing_util::PaperFigure2Graph();
   const SnapshotData snapshot = BuildSnapshot(g, Family::kCore12);
-  const std::string v1_path = TempPath("meta_v1.nucsnap");
-  const std::string v2_path = TempPath("meta_v2.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(snapshot, v1_path).ok());
-  ASSERT_TRUE(SaveSnapshotV2(snapshot, v2_path).ok());
+  const std::string path = TempPath("meta.nucsnap");
+  ASSERT_TRUE(SaveSnapshot(snapshot, path).ok());
 
-  auto heap_source = OpenSnapshotSource(v1_path, SnapshotMemoryMode::kHeap);
-  auto mmap_source = OpenSnapshotSource(v2_path, SnapshotMemoryMode::kMmap);
+  auto heap_source = OpenSnapshotSource(path, SnapshotMemoryMode::kHeap);
+  auto mmap_source = OpenSnapshotSource(path, SnapshotMemoryMode::kMmap);
   ASSERT_TRUE(heap_source.ok());
   ASSERT_TRUE(mmap_source.ok());
   ASSERT_TRUE((*mmap_source)->Ensure(kNeedLookup | kNeedIndex | kNeedSizes |
@@ -210,8 +199,30 @@ TEST(MmapSource, MetaAndViewsMatchHeapSource) {
   for (std::size_t i = 0; i < va.ranking.size(); ++i) {
     EXPECT_EQ(va.ranking[i], vb.ranking[i]);
   }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(HeapSource, ServesTheSnapshotsOwnIndexTables) {
+  // The jump tables are held once: the views alias the wrapped snapshot's
+  // tables (built into it when the snapshot arrives without them), and the
+  // heap charge is the same either way.
+  const Graph g = ErdosRenyiGnp(120, 0.06, 5);
+  std::int64_t heap_bytes[2] = {0, 0};
+  for (const bool with_index : {true, false}) {
+    SCOPED_TRACE(with_index);
+    DecomposeOptions options;
+    options.family = Family::kCore12;
+    const HeapSource source(
+        MakeSnapshot(g, options, Decompose(g, options), with_index));
+    const HierarchyIndexTables& tables = source.snapshot().index_tables;
+    ASSERT_TRUE(source.snapshot().has_index);
+    ASSERT_FALSE(tables.up.empty());
+    EXPECT_EQ(source.UpTable().data(), tables.up.data());
+    EXPECT_EQ(source.Depths().data(), tables.depth.data());
+    EXPECT_EQ(source.IndexLevels(), tables.levels);
+    heap_bytes[with_index ? 1 : 0] = source.HeapBytes();
+  }
+  EXPECT_EQ(heap_bytes[0], heap_bytes[1]);
 }
 
 }  // namespace

@@ -39,6 +39,11 @@ inline std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
+/// A committed fixture under tests/data/ (e.g. "v1/zoo_k6_core.nucsnap").
+inline std::string TestDataPath(const std::string& name) {
+  return std::string(NUCLEUS_TEST_DATA_DIR) + "/" + name;
+}
+
 // ---------------------------------------------------------------------------
 // Reference lambda: iterated pruning per k, straight from the definition.
 // lambda(u) = max k such that u survives "remove any K_r whose number of
