@@ -32,8 +32,6 @@
 //                 fewer round trips
 //   --json F      write {"bench": "router_serving", ...} for the
 //                 perf-regression gate
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -66,11 +64,9 @@ namespace nucleus {
 namespace {
 
 using serving_bench::MakeBlock;
-using serving_bench::Dial;
-using serving_bench::SendAll;
-using serving_bench::PumpScript;
-using serving_bench::ReadLine;
 using serving_bench::Percentile;
+using serving_bench::PingRoundTripsMs;
+using serving_bench::PumpScript;
 
 struct Options {
   bool quick = false;
@@ -111,7 +107,7 @@ double TimePipelined(int port, const std::vector<std::string>& scripts,
     for (int c = 0; c < conns; ++c) {
       clients.emplace_back([&, c] {
         (*transcripts)[static_cast<std::size_t>(c)] =
-            PumpScript(Dial(port), scripts[static_cast<std::size_t>(c)]);
+            PumpScript(port, scripts[static_cast<std::size_t>(c)]);
       });
     }
     for (std::thread& t : clients) t.join();
@@ -324,31 +320,11 @@ void Run(const Options& options) {
       std::vector<std::thread> clients;
       for (int c = 0; c < conns; ++c) {
         clients.emplace_back([&, c] {
-          const int fd = Dial(port);
-          const std::string ping =
+          samples[static_cast<std::size_t>(c)] = PingRoundTripsMs(
+              port,
               tenants[static_cast<std::size_t>(c) % tenants.size()].name +
-              ":lambda 0\n";
-          std::string carry;
-          auto& mine = samples[static_cast<std::size_t>(c)];
-          mine.reserve(static_cast<std::size_t>(pings_per_conn));
-          for (std::int64_t i = 0; i < pings_per_conn; ++i) {
-            const auto start = std::chrono::steady_clock::now();
-            SendAll(fd, ping.data(), ping.size());
-            const std::string line = ReadLine(fd, carry);
-            const auto stop = std::chrono::steady_clock::now();
-            if (line.empty()) {
-              std::cerr << "error: connection dropped mid round-trip\n";
-              std::exit(1);
-            }
-            mine.push_back(
-                std::chrono::duration<double, std::milli>(stop - start)
-                    .count());
-          }
-          ::shutdown(fd, SHUT_WR);
-          char buf[4096];
-          while (::recv(fd, buf, sizeof(buf), 0) > 0) {
-          }
-          ::close(fd);
+                  ":lambda 0\n",
+              pings_per_conn);
         });
       }
       for (std::thread& t : clients) t.join();

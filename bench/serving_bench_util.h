@@ -1,17 +1,16 @@
 // Helpers shared by the serving benches (multi_tenant_serving,
-// network_serving, router_serving): the protocol workload generator, a
-// loopback TCP client, and the latency percentile. Header-only; each bench
+// network_serving, router_serving): the protocol workload generator, the
+// loopback TCP clients (pipelined pump and round-trip pings, over
+// util/socket), and the latency percentile. Header-only; each bench
 // is one translation unit.
 #ifndef NUCLEUS_BENCH_SERVING_BENCH_UTIL_H_
 #define NUCLEUS_BENCH_SERVING_BENCH_UTIL_H_
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +22,7 @@
 
 #include "nucleus/core/types.h"
 #include "nucleus/util/rng.h"
+#include "nucleus/util/socket.h"
 
 namespace nucleus::serving_bench {
 
@@ -57,42 +57,25 @@ inline std::string MakeBlock(Rng& rng, std::int64_t num_cliques,
   return block.str();
 }
 
-/// Connects to 127.0.0.1:`port` with TCP_NODELAY; exits on failure.
-inline int Dial(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::perror("socket");
+/// Dials 127.0.0.1:`port`; exits on failure (the server under test is
+/// already listening, so a failure is a broken run).
+inline int DialOrExit(int port) {
+  const StatusOr<int> fd = DialTcp(
+      "127.0.0.1", port, SocketClock::now() + std::chrono::seconds(10));
+  if (!fd.ok()) {
+    std::fprintf(stderr, "error: %s\n", fd.status().message().c_str());
     std::exit(1);
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::perror("connect");
-    std::exit(1);
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
+  return *fd;
 }
 
-inline void SendAll(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (n <= 0) return;  // server closed; the reader will notice
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-}
-
-/// Fire-hose `script` down `fd` from a writer thread (so a full kernel
+/// Fire-hose `script` at `port` from a writer thread (so a full kernel
 /// buffer on either side cannot deadlock the pump), half-close, and read
-/// the whole transcript back. Closes `fd`.
-inline std::string PumpScript(int fd, const std::string& script) {
+/// the whole transcript back.
+inline std::string PumpScript(int port, const std::string& script) {
+  const int fd = DialOrExit(port);
   std::thread writer([fd, &script] {
-    SendAll(fd, script.data(), script.size());
-    ::shutdown(fd, SHUT_WR);
+    if (SendAll(fd, script)) ::shutdown(fd, SHUT_WR);
   });
   std::string transcript;
   char buf[1 << 16];
@@ -106,20 +89,36 @@ inline std::string PumpScript(int fd, const std::string& script) {
   return transcript;
 }
 
-/// Reads one '\n'-terminated line; `carry` holds bytes read past it.
-inline std::string ReadLine(int fd, std::string& carry) {
-  for (;;) {
-    const std::size_t pos = carry.find('\n');
-    if (pos != std::string::npos) {
-      std::string line = carry.substr(0, pos + 1);
-      carry.erase(0, pos + 1);
-      return line;
+/// Round-trip latency: sends `ping` (one '\n'-terminated line) `count`
+/// times over one connection to `port`, one request in flight, and
+/// returns each send-to-answer time in ms. Exits if the connection drops.
+inline std::vector<double> PingRoundTripsMs(int port, const std::string& ping,
+                                            std::int64_t count) {
+  const int fd = DialOrExit(port);
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(count));
+  std::string carry;
+  std::string line;
+  for (std::int64_t i = 0; i < count; ++i) {
+    const auto deadline = SocketClock::now() + std::chrono::seconds(30);
+    const auto start = std::chrono::steady_clock::now();
+    const bool answered =
+        SendAll(fd, ping) &&
+        ReadLineWithDeadline(fd, deadline, carry, &line) == LineRead::kLine;
+    const auto stop = std::chrono::steady_clock::now();
+    if (!answered) {
+      std::fprintf(stderr, "error: connection dropped mid round-trip\n");
+      std::exit(1);
     }
-    char buf[4096];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) return std::string();
-    carry.append(buf, static_cast<std::size_t>(n));
+    samples.push_back(
+        std::chrono::duration<double, std::milli>(stop - start).count());
   }
+  ::shutdown(fd, SHUT_WR);
+  char buf[4096];
+  while (::recv(fd, buf, sizeof(buf), 0) > 0) {
+  }
+  ::close(fd);
+  return samples;
 }
 
 /// Nearest-rank percentile (`p` in [0, 1]); sorts `samples` in place.

@@ -1,8 +1,5 @@
 #include "nucleus/cli/cli.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,8 +8,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -47,6 +44,7 @@
 #include "nucleus/store/snapshot_v2.h"
 #include "nucleus/util/mutex.h"
 #include "nucleus/util/parse_util.h"
+#include "nucleus/util/socket.h"
 
 namespace nucleus {
 namespace {
@@ -888,34 +886,26 @@ extern "C" void HandleDrainSignal(int /*signum*/) {
   if (server != nullptr) server->RequestDrain();
 }
 
-/// Runs the TCP serving tier over an already-resolved session surface:
-/// binds, announces the bound endpoint on stdout (so a pipeline can parse
-/// the ephemeral port), then blocks until the server drains — via a
-/// client's `shutdown` verb or SIGINT/SIGTERM.
-int RunTcpServe(const ServeSessionResolver& resolver,
-                SnapshotRegistry* registry, const TcpServerOptions& options,
-                int metrics_port, std::ostream& out, std::ostream& err) {
-  TcpServer server(resolver, registry, options);
+/// Runs one TCP front (`serve --listen` or `route`) from start to drain:
+/// starts `server` and, with `metrics_port` >= 0, a Prometheus scrape
+/// endpoint answering `render_metrics()`; routes SIGINT/SIGTERM to a
+/// graceful drain; announces the bound endpoints on stdout (so a pipeline
+/// can parse ephemeral ports); then blocks until the server drains. 1 if
+/// either listener fails to start; the caller prints the drain summary.
+int RunTcpFront(TcpServer& server, const std::string& host, int metrics_port,
+                std::function<std::string()> render_metrics,
+                std::ostream& out, std::ostream& err) {
   if (Status s = server.Start(); !s.ok()) {
     err << "error: " << s.ToString() << "\n";
     return 1;
   }
-  // Optional Prometheus scrape endpoint next to the protocol port. The
-  // render refreshes the registry-level gauges (resident/mapped bytes,
-  // cache hit ratios) on every scrape, so a scraper never reads stale
-  // gauges even if no `metrics` verb ever runs.
   std::unique_ptr<obs::MetricsExpositionServer> exposition;
   if (metrics_port >= 0) {
     obs::MetricsExpositionServer::Options mopt;
-    mopt.host = options.host;
+    mopt.host = host;
     mopt.port = metrics_port;
     exposition = std::make_unique<obs::MetricsExpositionServer>(
-        [registry] {
-          obs::MetricsRegistry& m = obs::MetricsRegistry::Global();
-          if (registry != nullptr) PublishRegistryMetrics(*registry, m);
-          return m.ToPrometheusText();
-        },
-        mopt);
+        std::move(render_metrics), mopt);
     if (Status s = exposition->Start(); !s.ok()) {
       err << "error: " << s.ToString() << "\n";
       server.Stop();
@@ -925,10 +915,9 @@ int RunTcpServe(const ServeSessionResolver& resolver,
   g_drain_target.store(&server, std::memory_order_release);
   std::signal(SIGINT, HandleDrainSignal);
   std::signal(SIGTERM, HandleDrainSignal);
-  out << "listening on " << options.host << ":" << server.port() << "\n";
+  out << "listening on " << host << ":" << server.port() << "\n";
   if (exposition != nullptr) {
-    out << "metrics on " << options.host << ":" << exposition->port()
-        << "\n";
+    out << "metrics on " << host << ":" << exposition->port() << "\n";
   }
   out.flush();
   server.Wait();
@@ -936,6 +925,28 @@ int RunTcpServe(const ServeSessionResolver& resolver,
   g_drain_target.store(nullptr, std::memory_order_release);
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
+  return 0;
+}
+
+/// `serve --listen`: the TCP serving tier over an already-resolved
+/// session surface.
+int RunTcpServe(const ServeSessionResolver& resolver,
+                SnapshotRegistry* registry, const TcpServerOptions& options,
+                int metrics_port, std::ostream& out, std::ostream& err) {
+  TcpServer server(resolver, registry, options);
+  // The scrape refreshes the registry-level gauges (resident/mapped
+  // bytes, cache hit ratios) first, so a scraper never reads stale gauges
+  // even if no `metrics` verb ever runs.
+  const auto render = [registry] {
+    obs::MetricsRegistry& m = obs::MetricsRegistry::Global();
+    if (registry != nullptr) PublishRegistryMetrics(*registry, m);
+    return m.ToPrometheusText();
+  };
+  if (int rc = RunTcpFront(server, options.host, metrics_port, render, out,
+                           err);
+      rc != 0) {
+    return rc;
+  }
   const TcpServerStats stats = server.Stats();
   err << "drained: " << stats.connections_accepted << " connection(s), "
       << stats.lines_admitted << " line(s) served, " << stats.lines_rejected
@@ -979,66 +990,35 @@ int CmdConnect(const ParsedArgs& parsed, std::ostream& out,
       return 2;
     }
     // The server announces `listening on <host>:<port>`; scan stdin for
-    // it under a deadline. The scan reads fd 0 raw (poll + read) rather
-    // than std::getline: a server that died before announcing while
-    // something else still holds the pipe's write end (a forked child, a
-    // stopped process) produces neither a line nor EOF, and a blocking
-    // getline would hang this client forever.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    std::string pending;
+    // it under a deadline. The scan reads fd 0 raw rather than through
+    // std::getline: a server that died before announcing while something
+    // else still holds the pipe's write end (a forked child, a stopped
+    // process) produces neither a line nor EOF, and a blocking getline
+    // would hang this client forever.
+    const SocketClock::time_point deadline =
+        SocketClock::now() + std::chrono::milliseconds(timeout_ms);
+    const std::string prefix = "listening on ";
+    std::string carry;
+    std::string line;
     bool found = false;
-    bool saw_eof = false;
-    while (!found && !saw_eof) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) break;
-      struct pollfd pfd;
-      pfd.fd = STDIN_FILENO;
-      pfd.events = POLLIN;
-      pfd.revents = 0;
-      const int wait_ms = static_cast<int>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                now)
-              .count() +
-          1);
-      const int r = ::poll(&pfd, 1, wait_ms);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        saw_eof = true;
-        break;
+    LineRead read = LineRead::kLine;
+    while (!found &&
+           (read = ReadLineWithDeadline(STDIN_FILENO, deadline, carry,
+                                        &line)) == LineRead::kLine) {
+      std::string announced_host;
+      int announced_port = 0;
+      if (line.rfind(prefix, 0) != 0 ||
+          !ParseHostPort(line.substr(prefix.size()), &announced_host,
+                         &announced_port)
+               .ok()) {
+        continue;
       }
-      if (r == 0) break;  // deadline
-      char chunk[4096];
-      const ssize_t n = ::read(STDIN_FILENO, chunk, sizeof(chunk));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        saw_eof = true;
-        break;
-      }
-      pending.append(chunk, static_cast<std::size_t>(n));
-      std::size_t start = 0;
-      for (std::size_t nl = pending.find('\n', start);
-           nl != std::string::npos; nl = pending.find('\n', start)) {
-        const std::string line = pending.substr(start, nl - start);
-        start = nl + 1;
-        const std::string prefix = "listening on ";
-        if (line.rfind(prefix, 0) != 0) continue;
-        const std::size_t colon = line.rfind(':');
-        if (colon == std::string::npos || colon < prefix.size()) continue;
-        if (!StrictParseInt64(line.substr(colon + 1), &port) || port <= 0 ||
-            port > 65535) {
-          continue;
-        }
-        if (!HasFlag(parsed, "host")) {
-          host = line.substr(prefix.size(), colon - prefix.size());
-        }
-        found = true;
-        break;
-      }
-      pending.erase(0, start);
+      port = announced_port;
+      if (!HasFlag(parsed, "host")) host = announced_host;
+      found = true;
     }
     if (!found) {
-      if (saw_eof) {
+      if (read == LineRead::kEof) {
         err << "error: stdin closed before a 'listening on <host>:<port>' "
                "line arrived — the server exited (or was killed) before "
                "announcing its port\n";
@@ -1081,35 +1061,25 @@ int CmdConnect(const ParsedArgs& parsed, std::ostream& out,
   }
   std::ostream& responses = out_path.empty() ? out : out_file;
 
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    err << "error: invalid host '" << host << "' (numeric IPv4 expected)\n";
-    return 2;
-  }
-  int fd = -1;
-  // A fixed --port may race the server's bind; retry briefly. (With
-  // --port stdin the announcement already happened, so the first attempt
-  // lands.)
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) break;
-    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof(addr)) == 0) {
-      break;
-    }
-    ::close(fd);
-    fd = -1;
-    if (errno != ECONNREFUSED) break;
+  // A fixed --port may race the server's bind; retry a refused dial
+  // briefly. (With --port stdin the announcement already happened, so the
+  // first attempt lands.)
+  const auto dial = [&] {
+    return DialTcp(host, static_cast<int>(port),
+                   SocketClock::now() + std::chrono::seconds(10));
+  };
+  StatusOr<int> dialed = dial();
+  for (int attempt = 1;
+       attempt < 50 && dialed.status().code() == StatusCode::kNotFound;
+       ++attempt) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    dialed = dial();
   }
-  if (fd < 0) {
-    err << "error: cannot connect to " << host << ":" << port << ": "
-        << std::strerror(errno) << "\n";
-    return 1;
+  if (!dialed.ok()) {
+    err << "error: " << dialed.status().message() << "\n";
+    return dialed.status().code() == StatusCode::kInvalidArgument ? 2 : 1;
   }
+  const int fd = *dialed;
 
   // Writer thread streams requests; the main thread copies responses.
   // Decoupling the two sides means a request file larger than the socket
@@ -1118,15 +1088,8 @@ int CmdConnect(const ParsedArgs& parsed, std::ostream& out,
     std::string line;
     while (std::getline(queries, line)) {
       line.push_back('\n');
-      const char* p = line.data();
-      std::size_t left = line.size();
-      while (left > 0) {
-        const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) return;  // server went away; reader reports what it got
-        p += n;
-        left -= static_cast<std::size_t>(n);
-      }
+      // false = the server went away; the reader reports what it got.
+      if (!SendAll(fd, line)) return;
     }
     ::shutdown(fd, SHUT_WR);  // end of requests; server drains and closes
   });
@@ -1463,50 +1426,20 @@ int CmdRoute(const ParsedArgs& parsed, std::ostream& out,
   // Installed before Start: once the listener is up, a `stats` verb may
   // read the hook from any worker.
   router.set_server_stats_json([&server] { return server.StatsJson(); });
-  if (Status s = server.Start(); !s.ok()) {
-    err << "error: " << s.ToString() << "\n";
-    router.Stop();
-    return 1;
-  }
-  std::unique_ptr<obs::MetricsExpositionServer> exposition;
-  if (metrics_port >= 0) {
-    obs::MetricsExpositionServer::Options mopt;
-    mopt.host = tcp_options.host;
-    mopt.port = static_cast<int>(metrics_port);
-    exposition = std::make_unique<obs::MetricsExpositionServer>(
-        [] { return obs::MetricsRegistry::Global().ToPrometheusText(); },
-        mopt);
-    if (Status s = exposition->Start(); !s.ok()) {
-      err << "error: " << s.ToString() << "\n";
-      server.Stop();
-      router.Stop();
-      return 1;
-    }
-  }
-  g_drain_target.store(&server, std::memory_order_release);
-  std::signal(SIGINT, HandleDrainSignal);
-  std::signal(SIGTERM, HandleDrainSignal);
   int up = 0;
   for (int i = 0; i < router.num_backends(); ++i) {
     if (router.backend_up(i)) ++up;
   }
   err << "routing to " << router.num_backends() << " backend(s) (" << up
       << " up), pool " << pool << ", in-flight cap " << inflight << "\n";
-  out << "listening on " << tcp_options.host << ":" << server.port()
-      << "\n";
-  if (exposition != nullptr) {
-    out << "metrics on " << tcp_options.host << ":" << exposition->port()
-        << "\n";
-  }
-  out.flush();
-  server.Wait();
-  if (exposition != nullptr) exposition->Stop();
-  g_drain_target.store(nullptr, std::memory_order_release);
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
+  const int rc = RunTcpFront(
+      server, tcp_options.host, static_cast<int>(metrics_port),
+      [] { return obs::MetricsRegistry::Global().ToPrometheusText(); }, out,
+      err);
   // Front first, then the backend connections: Stop() must not run while
   // handlers still forward.
   router.Stop();
+  if (rc != 0) return rc;
   const TcpServerStats stats = server.Stats();
   err << "drained: " << stats.connections_accepted << " connection(s), "
       << stats.lines_admitted << " line(s) routed, " << stats.lines_rejected

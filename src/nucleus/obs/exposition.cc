@@ -1,7 +1,5 @@
 #include "nucleus/obs/exposition.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -10,24 +8,10 @@
 #include <cstring>
 #include <utility>
 
+#include "nucleus/util/socket.h"
+
 namespace nucleus {
 namespace obs {
-namespace {
-
-void SendAll(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // scraper went away; nothing to do
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
-}  // namespace
 
 MetricsExpositionServer::MetricsExpositionServer(
     std::function<std::string()> render, Options options)
@@ -39,37 +23,10 @@ MetricsExpositionServer::MetricsExpositionServer(
 MetricsExpositionServer::~MetricsExpositionServer() { Stop(); }
 
 Status MetricsExpositionServer::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("metrics socket: ") +
-                           std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("metrics host must be an IPv4 address: " +
-                                   options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
-          0 ||
-      ::listen(listen_fd_, 16) < 0) {
-    const std::string detail = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal("metrics bind/listen on " + options_.host + ":" +
-                           std::to_string(options_.port) + ": " + detail);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  StatusOr<TcpListener> listener = ListenTcp(options_.host, options_.port);
+  if (!listener.ok()) return listener.status();
+  listen_fd_ = listener->fd;
+  port_ = listener->port;
   if (::pipe(wake_fds_) != 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -181,7 +138,7 @@ void MetricsExpositionServer::ServeScrape(int fd) {
       "\r\n"
       "Connection: close\r\n\r\n" +
       body;
-  SendAll(fd, response);
+  SendAll(fd, response);  // false = the scraper went away; nothing to do
   ::shutdown(fd, SHUT_WR);
   ::close(fd);
 }

@@ -1,6 +1,5 @@
 #include "nucleus/serve/net/tcp_server.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -18,6 +17,7 @@
 #include <utility>
 
 #include "nucleus/util/mutex.h"
+#include "nucleus/util/socket.h"
 
 namespace nucleus {
 namespace {
@@ -97,37 +97,11 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/// The default per-connection handler: a RequestProcessor session, which
-/// keeps the resolver/registry constructor byte-identical to the stdio
-/// serving path.
-class RequestProcessorHandler : public ConnectionHandler {
- public:
-  RequestProcessorHandler(const ServeSessionResolver& resolver,
-                          SnapshotRegistry* registry, std::ostream& out,
-                          const ServeOptions& serve)
-      : processor_(resolver, registry, out, serve) {}
-
-  void ProcessLine(const std::string& line) override {
-    processor_.ProcessLine(line);
-  }
-  void RejectLine(const Status& status) override {
-    processor_.RejectLine(status);
-  }
-  void Flush() override { processor_.Flush(); }
-  void Finish() override { processor_.Finish(); }
-  bool shutdown_requested() const override {
-    return processor_.shutdown_requested();
-  }
-
- private:
-  RequestProcessor processor_;
-};
-
 }  // namespace
 
 /// One live connection: the IO thread owns fd/read-state and feeds the
-/// queue; the worker thread drains the queue through a RequestProcessor
-/// and owns all writes to the socket.
+/// queue; the worker thread drains the queue through the connection's
+/// handler and owns all writes to the socket.
 struct TcpServer::Connection {
   int fd = -1;
 
@@ -202,8 +176,8 @@ TcpServer::TcpServer(ServeSessionResolver resolver,
        registry](std::ostream& out) -> std::unique_ptr<ConnectionHandler> {
     ServeOptions serve = options_.serve;
     serve.server_stats_json = [this] { return StatsJson(); };
-    return std::make_unique<RequestProcessorHandler>(*shared_resolver,
-                                                     registry, out, serve);
+    return std::make_unique<RequestProcessor>(*shared_resolver, registry,
+                                              out, serve);
   };
 }
 
@@ -231,47 +205,12 @@ Status TcpServer::Start() {
     SetNonBlocking(wake_pipe_[1]);
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal("socket() failed: " +
-                            std::string(std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  const std::string host =
-      options_.host.empty() ? std::string("127.0.0.1") : options_.host;
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("invalid listen address '" + host +
-                                   "' (numeric IPv4 expected)");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    const std::string error = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal("bind(" + host + ":" +
-                            std::to_string(options_.port) +
-                            ") failed: " + error);
-  }
-  if (::listen(listen_fd_, 128) != 0) {
-    const std::string error = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal("listen() failed: " + error);
-  }
-  struct sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    port_ = static_cast<int>(ntohs(bound.sin_port));
-  }
+  StatusOr<TcpListener> listener = ListenTcp(
+      options_.host.empty() ? std::string("127.0.0.1") : options_.host,
+      options_.port);
+  if (!listener.ok()) return listener.status();
+  listen_fd_ = listener->fd;
+  port_ = listener->port;
   SetNonBlocking(listen_fd_);
 
   io_thread_ = std::thread(&TcpServer::PollLoop, this);
@@ -373,8 +312,7 @@ void TcpServer::AcceptPending() {
       const std::string error =
           "{\"error\": \"server at connection limit (" +
           std::to_string(options_.max_connections) + ")\"}\n";
-      [[maybe_unused]] const ssize_t n =
-          ::send(fd, error.data(), error.size(), MSG_NOSIGNAL);
+      SendAll(fd, error);
       ::close(fd);
       rejected_connections_.fetch_add(1, std::memory_order_relaxed);
       m_rejected_connections_->Increment();

@@ -21,11 +21,12 @@
 //     input, lets every connection's worker finish its queued lines,
 //     flushes, and closes. Wait() returns once the last worker is gone.
 //
-// Each connection runs its own worker thread driving a RequestProcessor,
-// so the per-session protocol contract is exactly the stdio one: one
-// JSON object per line, input order, byte-identical to serving the same
-// lines over stdin/stdout (tests/tcp_server_test.cc pins this against
-// the request-loop fuzz corpus). A connection that disconnects mid-line
+// Each connection runs its own worker thread driving a ConnectionHandler
+// (a RequestProcessor unless a factory is given), so the per-session
+// protocol contract is exactly the stdio one: one JSON object per line,
+// input order, byte-identical to serving the same lines over
+// stdin/stdout (tests/tcp_server_test.cc pins this against the
+// request-loop fuzz corpus). A connection that disconnects mid-line
 // has its partial final line served like std::getline would — as a line.
 //
 // The per-server counters surface through the `stats` admin verb (the
@@ -54,28 +55,10 @@
 
 namespace nucleus {
 
-/// Per-connection protocol driver. The server feeds it the connection's
-/// lines in input order with RequestProcessor semantics: ProcessLine for
-/// each admitted line, RejectLine for each back-pressure/oversized slot
-/// (the line was dropped but still owes a response), Flush whenever the
-/// input runs dry, Finish exactly once at end of session. All calls for
-/// one connection happen on that connection's worker thread; the handler
-/// owns every write to its output stream.
-class ConnectionHandler {
- public:
-  virtual ~ConnectionHandler() = default;
-  virtual void ProcessLine(const std::string& line) = 0;
-  virtual void RejectLine(const Status& status) = 0;
-  virtual void Flush() = 0;
-  virtual void Finish() = 0;
-  /// True once this session asked the whole server to stop (the
-  /// `shutdown` verb): the server drops remaining input and starts a
-  /// graceful drain.
-  virtual bool shutdown_requested() const = 0;
-};
-
 /// Builds one handler per accepted connection, writing to that
-/// connection's socket stream. Invoked on the connection's worker
+/// connection's socket stream; the server feeds it ProcessLine per
+/// admitted line, RejectLine per back-pressure/oversized slot, Flush when
+/// input runs dry and Finish once. Invoked on the connection's worker
 /// thread; must be safe to call concurrently from many workers.
 using ConnectionHandlerFactory =
     std::function<std::unique_ptr<ConnectionHandler>(std::ostream& out)>;
@@ -121,15 +104,15 @@ class TcpServer {
   /// `resolver` and `registry` have ServeResolvedRequests semantics and
   /// are shared by every connection (the registry and engines are
   /// thread-safe; each connection's protocol state is its own). Each
-  /// connection runs a RequestProcessor with the server's stats hook
-  /// installed.
+  /// connection's handler is a RequestProcessor with the server's stats
+  /// hook installed.
   TcpServer(ServeSessionResolver resolver, SnapshotRegistry* registry,
             TcpServerOptions options);
 
   /// Generic front: each accepted connection drives a handler built by
-  /// `factory` instead of a RequestProcessor. The accept / admission /
-  /// back-pressure / drain machinery is identical; only the per-line
-  /// protocol logic changes (the router tier plugs in here).
+  /// `factory`. The accept / admission / back-pressure / drain machinery
+  /// is identical; only the per-line protocol logic changes (the router
+  /// tier plugs in here).
   TcpServer(ConnectionHandlerFactory factory, TcpServerOptions options);
   ~TcpServer();  // Stop()
 

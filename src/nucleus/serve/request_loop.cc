@@ -307,16 +307,58 @@ std::string UpdateToJson(const EdgeEdit& edit,
   return out.str();
 }
 
+ConnectionHandler::ConnectionHandler(std::ostream& out,
+                                     std::int64_t batch_bound)
+    : out_(out),
+      batch_bound_(static_cast<std::size_t>(batch_bound >= 1 ? batch_bound
+                                                             : 1)) {}
+
+void ConnectionHandler::ProcessLine(const std::string& line) {
+  ++line_no_;
+  // After an acknowledged shutdown the session ignores further input: the
+  // stream loop stops reading, a socket worker drains its queue without
+  // answering (the client asked the server to go away).
+  if (shutdown_) return;
+  const std::size_t start = line.find_first_not_of(" \t\r");
+  if (start == std::string::npos || line[start] == '#') return;
+  Handle(line);
+  DrainIfFull();
+}
+
+void ConnectionHandler::RejectLine(const Status& status) {
+  ++line_no_;
+  if (shutdown_) return;
+  // The line's text never reached us, but it still owns one slot of the
+  // response stream: answer it, keeping one object per line in order.
+  Reject(status);
+  DrainIfFull();
+}
+
+void ConnectionHandler::Flush() {
+  Drain();
+  out_.flush();
+}
+
+void ConnectionHandler::Finish() { Flush(); }
+
+void ConnectionHandler::DrainIfFull() {
+  if (pending() >= batch_bound_) Drain();
+}
+
+std::string ErrorLine(const std::string& escaped_message, std::int64_t line) {
+  return "{\"error\": \"" + escaped_message +
+         "\", \"line\": " + std::to_string(line) + "}";
+}
+
 RequestProcessor::RequestProcessor(ServeSessionResolver resolver,
                                    SnapshotRegistry* registry,
                                    std::ostream& out,
                                    const ServeOptions& options)
-    : resolver_(std::move(resolver)),
+    : ConnectionHandler(out, options.batch_size),
+      resolver_(std::move(resolver)),
       registry_(registry),
-      out_(out),
       options_(options),
       pool_(options.parallel),
-      batch_size_(options.batch_size >= 1 ? options.batch_size : 1),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &obs::MetricsRegistry::Global()),
       parse_errors_(
@@ -332,15 +374,12 @@ RequestProcessor::RequestProcessor(ServeSessionResolver resolver,
       reject_errors_(
           metrics_->GetCounter("nucleus_serve_errors_total", "", "reject")) {}
 
-RequestProcessor::~RequestProcessor() = default;
-
 void RequestProcessor::EmitError(const Status& status, std::int64_t line) {
-  out_ << "{\"error\": \"" << JsonEscape(status.message())
-       << "\", \"line\": " << line << "}\n";
+  out_ << ErrorLine(JsonEscape(status.message()), line) << "\n";
   ++stats_.errors;
 }
 
-void RequestProcessor::FlushBatch() {
+void RequestProcessor::Drain() {
   if (items_.empty()) return;
   ++stats_.batches;
   const bool timing = timing_live();
@@ -493,7 +532,7 @@ void RequestProcessor::TraceInline(const char* verb,
                                    std::int64_t exec_us) {
   if (!options_.trace_log) return;
   obs::TraceSpan span;
-  span.line = line_no_;
+  span.line = line_no();
   span.tenant = tenant;
   span.verb = verb;
   span.error = error;
@@ -507,7 +546,7 @@ Status RequestProcessor::RunAdmin(const RoutedServeLine& parsed) {
   // connection must be able to drain its server too.
   if (parsed.admin == RoutedServeLine::Admin::kShutdown) {
     ++stats_.admin;
-    shutdown_ = true;
+    RequestShutdown();
     out_ << "{\"query\": \"shutdown\", \"ok\": true}\n";
     return Status::Ok();
   }
@@ -657,15 +696,7 @@ Status RequestProcessor::RunAdmin(const RoutedServeLine& parsed) {
   return Status::Internal("unreachable admin verb");
 }
 
-void RequestProcessor::ProcessLine(const std::string& line) {
-  ++line_no_;
-  // After an acknowledged shutdown the session ignores further input —
-  // the stream loop stops reading; a socket worker drains its queue
-  // without answering (the client asked the server to go away).
-  if (shutdown_) return;
-  const std::size_t start = line.find_first_not_of(" \t\r");
-  if (start == std::string::npos || line[start] == '#') return;
-
+void RequestProcessor::Handle(const std::string& line) {
   ++stats_.requests;
   const bool timing = timing_live();
   const Clock::time_point t0 = timing ? Clock::now() : Clock::time_point{};
@@ -687,26 +718,25 @@ void RequestProcessor::ProcessLine(const std::string& line) {
   if (!parsed.ok()) {
     parse_errors_->Increment();
     Item item;
-    item.line_no = line_no_;
+    item.line_no = line_no();
     item.error = parsed.status();
     item.verb = "error";
     item.parse_us = parse_us;
     item.ready = parsed_at;
     items_.push_back(std::move(item));
-    if (static_cast<std::int64_t>(items_.size()) >= batch_size_) FlushBatch();
     return;
   }
 
   if (parsed->admin != RoutedServeLine::Admin::kNone) {
     // Admin verbs are sequencing points: the pending batch answers on
     // the pre-admin registry, everything later on the post-admin one.
-    FlushBatch();
+    Drain();
     const Clock::time_point exec_start =
         timing ? Clock::now() : Clock::time_point{};
     Status s = RunAdmin(*parsed);
     if (!s.ok()) {
       admin_errors_->Increment();
-      EmitError(s, line_no_);
+      EmitError(s, line_no());
     }
     if (timing) {
       const char* verb = AdminVerbName(parsed->admin);
@@ -721,13 +751,13 @@ void RequestProcessor::ProcessLine(const std::string& line) {
   }
 
   if (parsed->request.is_update) {
-    FlushBatch();
+    Drain();
     const Clock::time_point exec_start =
         timing ? Clock::now() : Clock::time_point{};
     Status s = ApplyUpdate(parsed->tenant, parsed->request.edit);
     if (!s.ok()) {
       update_errors_->Increment();
-      EmitError(s, line_no_);
+      EmitError(s, line_no());
     }
     if (timing) {
       const std::int64_t exec_us = DurationUs(exec_start, Clock::now());
@@ -743,7 +773,7 @@ void RequestProcessor::ProcessLine(const std::string& line) {
   }
 
   Item item;
-  item.line_no = line_no_;
+  item.line_no = line_no();
   item.parse_us = parse_us;
   item.ready = parsed_at;
   StatusOr<std::size_t> group = GroupFor(parsed->tenant);
@@ -759,32 +789,18 @@ void RequestProcessor::ProcessLine(const std::string& line) {
     item.verb = "error";
   }
   items_.push_back(std::move(item));
-  if (static_cast<std::int64_t>(items_.size()) >= batch_size_) FlushBatch();
 }
 
-void RequestProcessor::RejectLine(const Status& status) {
-  ++line_no_;
-  if (shutdown_) return;
-  // The line's text never reached us (back-pressure dropped it), but it
-  // still owns one slot of the response stream: count it and answer with
-  // the rejection, keeping one-JSON-object-per-line and input order.
+void RequestProcessor::Reject(const Status& status) {
   ++stats_.requests;
   reject_errors_->Increment();
   Item item;
-  item.line_no = line_no_;
+  item.line_no = line_no();
   item.error = status;
   item.verb = "reject";
   if (timing_live()) item.ready = Clock::now();
   items_.push_back(std::move(item));
-  if (static_cast<std::int64_t>(items_.size()) >= batch_size_) FlushBatch();
 }
-
-void RequestProcessor::Flush() {
-  FlushBatch();
-  out_.flush();
-}
-
-void RequestProcessor::Finish() { Flush(); }
 
 ServeStats ServeResolvedRequests(const ServeSessionResolver& resolver,
                                  SnapshotRegistry* registry,

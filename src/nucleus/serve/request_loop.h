@@ -194,42 +194,86 @@ struct ServeSession {
 using ServeSessionResolver =
     std::function<StatusOr<ServeSession>(const std::string& tenant)>;
 
-/// Push-driven core of the serve loop: one protocol session whose lines
-/// arrive one call at a time instead of from a stream. This is the seam
-/// the stream loops AND the TCP tier share — a connection worker feeds
-/// socket lines to ProcessLine and the transport-level rejections
-/// (admission-queue overflow, oversized line) to RejectLine, and the
-/// session stays byte-identical to the same lines served over stdio.
-///
-/// Lines are numbered in arrival order (ProcessLine and RejectLine both
-/// advance the counter, so rejection errors carry the right "line"
-/// field). Batching follows options.batch_size exactly like the stream
-/// loop; Flush() additionally forces the pending batch out early —
-/// content is batch-invariant, so transports flush whenever input runs
-/// dry to keep interactive latency bounded. After a `shutdown` verb
-/// (shutdown_requested()) further lines are ignored, mirroring the
-/// stream loop, which stops reading. Not thread-safe; one processor per
-/// session.
-class RequestProcessor {
+/// The one session framing of the line protocol. RequestProcessor (stdio
+/// `serve`, every `serve --listen` connection) and the router's front
+/// handler derive from it, and TcpServer drives any handler through it.
+/// The base owns all framing:
+///   * line numbers: ProcessLine and RejectLine both count, so error
+///     objects carry the session's "line";
+///   * the shutdown gate: after RequestShutdown(), lines are counted but
+///     never answered;
+///   * blank and '#' lines are counted and skipped;
+///   * the batch bound: after every handled or rejected line, a session
+///     holding `batch_bound` pending responses drains them, so output
+///     appears without a Flush and pending state stays bounded;
+///   * Flush = Drain + flush the stream; Finish = Flush.
+/// Subclasses supply Handle, Reject, pending() and Drain(). Not
+/// thread-safe: one handler per session, driven from one thread.
+class ConnectionHandler {
  public:
-  RequestProcessor(ServeSessionResolver resolver, SnapshotRegistry* registry,
-                   std::ostream& out, const ServeOptions& options = {});
-  ~RequestProcessor();
+  virtual ~ConnectionHandler() = default;
 
-  RequestProcessor(const RequestProcessor&) = delete;
-  RequestProcessor& operator=(const RequestProcessor&) = delete;
+  ConnectionHandler(const ConnectionHandler&) = delete;
+  ConnectionHandler& operator=(const ConnectionHandler&) = delete;
 
   /// Feeds one protocol line (without its trailing newline).
   void ProcessLine(const std::string& line);
-  /// Counts one line WITHOUT processing its text and answers it with
-  /// `status` as a structured error — the back-pressure path.
+  /// Counts one line WITHOUT reading its text and answers it with
+  /// `status` as a structured error: the transport's back-pressure path.
   void RejectLine(const Status& status);
-  /// Runs and emits the pending batch now, and flushes `out`.
+  /// Emits every pending response now and flushes the stream. Transports
+  /// call it whenever input runs dry; content is batch-invariant.
   void Flush();
   /// Final Flush at end of session.
   void Finish();
 
+  /// True once the session acknowledged a `shutdown` verb.
   bool shutdown_requested() const { return shutdown_; }
+
+ protected:
+  /// `batch_bound` >= 1: pending responses that force a drain.
+  ConnectionHandler(std::ostream& out, std::int64_t batch_bound);
+
+  /// One line that passed the gate and the blank/comment skip; line_no()
+  /// is its number.
+  virtual void Handle(const std::string& line) = 0;
+  /// One rejected line; line_no() is its number.
+  virtual void Reject(const Status& status) = 0;
+  /// Responses accepted but not yet written to out_.
+  virtual std::size_t pending() const = 0;
+  /// Writes every pending response to out_, in input order.
+  virtual void Drain() = 0;
+
+  std::int64_t line_no() const { return line_no_; }
+  void RequestShutdown() { shutdown_ = true; }
+
+  std::ostream& out_;
+
+ private:
+  void DrainIfFull();
+
+  const std::size_t batch_bound_;
+  std::int64_t line_no_ = 0;
+  bool shutdown_ = false;
+};
+
+/// The session error object without its newline:
+/// {"error": "<escaped_message>", "line": <line>}. `escaped_message` must
+/// already be JSON-escaped (JsonEscape), so a relayed backend message is
+/// never escaped twice.
+std::string ErrorLine(const std::string& escaped_message, std::int64_t line);
+
+/// Push-driven core of the serve loop: one protocol session whose lines
+/// arrive one call at a time. The stream loops and every TCP connection
+/// run one, so a socket session stays byte-identical to the same lines
+/// over stdio. On the ConnectionHandler framing (batch bound =
+/// options.batch_size) it parses, resolves, batches per tenant over the
+/// pool, and runs admin and update verbs as sequencing points.
+class RequestProcessor : public ConnectionHandler {
+ public:
+  RequestProcessor(ServeSessionResolver resolver, SnapshotRegistry* registry,
+                   std::ostream& out, const ServeOptions& options = {});
+
   const ServeStats& stats() const { return stats_; }
 
  private:
@@ -267,13 +311,18 @@ class RequestProcessor {
     Clock::time_point exec_start{};
   };
   /// True when per-line clocks must run: tracing is on, or metrics are
-  /// globally enabled. With both off, ProcessLine takes zero clock reads.
+  /// globally enabled. With both off, Handle takes zero clock reads.
   bool timing_live() const {
     return options_.trace_log != nullptr || obs::MetricsEnabled();
   }
 
+  void Handle(const std::string& line) override;
+  void Reject(const Status& status) override;
+  std::size_t pending() const override { return items_.size(); }
+  /// Runs the pending batch and emits it in input order.
+  void Drain() override;
+
   void EmitError(const Status& status, std::int64_t line);
-  void FlushBatch();
   StatusOr<std::size_t> GroupFor(const std::string& tenant);
   Status ApplyUpdate(const std::string& tenant, const EdgeEdit& edit);
   Status RunAdmin(const RoutedServeLine& parsed);
@@ -285,10 +334,8 @@ class RequestProcessor {
 
   const ServeSessionResolver resolver_;
   SnapshotRegistry* const registry_;
-  std::ostream& out_;
   const ServeOptions options_;
   ThreadPool pool_;
-  const std::int64_t batch_size_;
   obs::MetricsRegistry* const metrics_;
   obs::Counter* const parse_errors_;
   obs::Counter* const resolve_errors_;
@@ -301,8 +348,6 @@ class RequestProcessor {
   std::vector<Group> groups_;
   std::map<std::string, std::size_t> group_of_tenant_;
   std::map<std::string, TenantMetrics> tenant_metrics_;
-  std::int64_t line_no_ = 0;
-  bool shutdown_ = false;
 };
 
 /// The resolver behind single-snapshot sessions: unrouted lines bind to

@@ -1,9 +1,5 @@
 #include "nucleus/serve/router/router.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -19,18 +15,14 @@
 #include "nucleus/io/hierarchy_export.h"
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/store/manifest.h"
-#include "nucleus/util/parse_util.h"
+#include "nucleus/util/socket.h"
 
 namespace nucleus {
 namespace {
 
-/// Front-session error object, same shape RequestProcessor emits. The
-/// message must already be JSON-escaped (or escape-free).
-std::string ErrorLine(const std::string& escaped_message,
-                      std::int64_t line_no) {
-  return "{\"error\": \"" + escaped_message +
-         "\", \"line\": " + std::to_string(line_no) + "}";
-}
+/// Deadline for one backend dial, and for one health probe's dial +
+/// `stats` round trip.
+constexpr std::chrono::milliseconds kBackendTimeout{2000};
 
 bool IsErrorLine(const std::string& response) {
   return response.rfind("{\"error\"", 0) == 0;
@@ -136,90 +128,6 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
-
-bool SendAllFd(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Blocking-handshake TCP dial with a connect deadline (nonblocking
-/// connect + poll, then back to blocking for the session).
-int DialTcp(const std::string& host, int port, int timeout_ms) {
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return -1;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  int rc = ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                     sizeof(addr));
-  if (rc != 0 && errno == EINPROGRESS) {
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLOUT;
-    pfd.revents = 0;
-    do {
-      rc = ::poll(&pfd, 1, timeout_ms);
-    } while (rc < 0 && errno == EINTR);
-    int soerr = 0;
-    socklen_t len = sizeof(soerr);
-    if (rc <= 0 ||
-        ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr, &len) != 0 ||
-        soerr != 0) {
-      ::close(fd);
-      return -1;
-    }
-  } else if (rc != 0) {
-    ::close(fd);
-    return -1;
-  }
-  ::fcntl(fd, F_SETFL, flags);  // back to blocking for send/recv
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-/// One response line off `fd` within the deadline (for health probes).
-bool ReadLineWithDeadline(int fd, int timeout_ms, std::string* line) {
-  line->clear();
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  char c = 0;
-  for (;;) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return false;
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int wait_ms = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-            .count() +
-        1);
-    const int r = ::poll(&pfd, 1, wait_ms);
-    if (r < 0 && errno == EINTR) continue;
-    if (r <= 0) return false;
-    const ssize_t n = ::recv(fd, &c, 1, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    if (c == '\n') return true;
-    line->push_back(c);
-  }
-}
-
-constexpr std::size_t kHandlerBatch = 256;
 
 }  // namespace
 
@@ -334,24 +242,15 @@ Status TenantRouter::Start() {
   // duplicates onto a partially populated table.
   std::vector<std::unique_ptr<Backend>> validated;
   for (const std::string& address : options_.backends) {
-    const std::size_t colon = address.rfind(':');
-    std::int64_t port = 0;
-    if (colon == std::string::npos || colon == 0 ||
-        !StrictParseInt64(address.substr(colon + 1), &port) || port <= 0 ||
-        port > 65535) {
-      return Status::InvalidArgument(
-          "backend '" + address + "' is not <host>:<port>");
-    }
-    const std::string host = address.substr(0, colon);
-    struct in_addr probe;
-    if (::inet_pton(AF_INET, host.c_str(), &probe) != 1) {
-      return Status::InvalidArgument("backend host '" + host +
-                                     "' (numeric IPv4 expected)");
+    std::string host;
+    int port = 0;
+    if (Status s = ParseHostPort(address, &host, &port); !s.ok()) {
+      return Status::InvalidArgument("backend " + s.message());
     }
     auto backend = std::make_unique<Backend>();
     backend->address = address;
     backend->host = host;
-    backend->port = static_cast<int>(port);
+    backend->port = port;
     for (int i = 0; i < pool; ++i) {
       backend->conns.push_back(std::make_unique<BackendConn>());
     }
@@ -449,19 +348,19 @@ Status TenantRouter::EnsureConnected(Backend& backend, BackendConn& conn) {
       conn.fd = -1;
     }
   }
-  const int fd =
-      DialTcp(backend.host, backend.port, options_.health_timeout_ms);
-  if (fd < 0) {
+  const StatusOr<int> fd = DialTcp(backend.host, backend.port,
+                                   SocketClock::now() + kBackendTimeout);
+  if (!fd.ok()) {
     return Status::Internal("backend " + backend.address +
                             " unreachable: request rejected");
   }
   {
     MutexLock lock(conn.mutex);
-    conn.fd = fd;
+    conn.fd = *fd;
     conn.alive = true;
   }
   conn.reader =
-      std::thread(&TenantRouter::ReaderLoop, this, &backend, &conn, fd);
+      std::thread(&TenantRouter::ReaderLoop, this, &backend, &conn, *fd);
   return Status::Ok();
 }
 
@@ -580,7 +479,7 @@ std::shared_ptr<TenantRouter::Slot> TenantRouter::ForwardToConn(
   // order).
   std::string wire = raw_line;
   wire.push_back('\n');
-  if (!SendAllFd(fd, wire)) {
+  if (!SendAll(fd, wire)) {
     MutexLock lock(conn.mutex);
     // write_mutex is still held: our slot is the tail if the reader has
     // not already failed the whole FIFO.
@@ -607,19 +506,20 @@ std::shared_ptr<TenantRouter::Slot> TenantRouter::ForwardLine(
 }
 
 bool TenantRouter::ProbeBackend(Backend& backend) {
-  const int fd =
-      DialTcp(backend.host, backend.port, options_.health_timeout_ms);
-  if (fd < 0) return false;
-  bool healthy = SendAllFd(fd, "stats\n");
+  const SocketClock::time_point deadline =
+      SocketClock::now() + kBackendTimeout;
+  const StatusOr<int> fd = DialTcp(backend.host, backend.port, deadline);
+  if (!fd.ok()) return false;
+  // Any one-line answer counts: the probe is a liveness check of the
+  // serving loop, not a health grade of the registry behind it.
+  std::string carry;
   std::string line;
-  if (healthy) {
-    // Any one-line answer counts: the probe is a liveness check of the
-    // serving loop, not a health grade of the registry behind it.
-    healthy = ReadLineWithDeadline(fd, options_.health_timeout_ms, &line) &&
-              !line.empty();
-  }
-  ::shutdown(fd, SHUT_RDWR);
-  ::close(fd);
+  const bool healthy =
+      SendAll(*fd, "stats\n") &&
+      ReadLineWithDeadline(*fd, deadline, carry, &line) == LineRead::kLine &&
+      !line.empty();
+  ::shutdown(*fd, SHUT_RDWR);
+  ::close(*fd);
   return healthy;
 }
 
@@ -896,52 +796,28 @@ std::string TenantRouter::Migrate(const std::string& tenant,
 class RouterHandler : public ConnectionHandler {
  public:
   RouterHandler(TenantRouter* router, std::ostream& out)
-      : router_(router), out_(out) {}
-
-  void ProcessLine(const std::string& line) override {
-    ++line_no_;
-    if (shutdown_) return;  // acknowledged; session ignores further input
-    const std::size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos || line[start] == '#') return;
-    HandleLine(line);
-    if (pending_.size() >= kHandlerBatch) DrainPending();
-  }
-
-  void RejectLine(const Status& status) override {
-    ++line_no_;
-    if (shutdown_) return;
-    pending_.push_back(TenantRouter::MakeCompletedSlot(
-        line_no_, ErrorLine(JsonEscape(status.message()), line_no_)));
-    // Same drain discipline as ProcessLine: a burst of back-pressure
-    // rejects must not grow pending_ (or delay responses) unboundedly.
-    if (pending_.size() >= kHandlerBatch) DrainPending();
-  }
-
-  void Flush() override {
-    DrainPending();
-    out_.flush();
-  }
-
-  void Finish() override {
-    DrainPending();
-    out_.flush();
-  }
-
-  bool shutdown_requested() const override { return shutdown_; }
+      : ConnectionHandler(out, kRouterBatchBound), router_(router) {}
 
  private:
-  void Emit(std::string text) {
-    pending_.push_back(TenantRouter::MakeCompletedSlot(line_no_, std::move(text)));
+  void Reject(const Status& status) override {
+    Emit(ErrorLine(JsonEscape(status.message()), line_no()));
   }
 
-  void DrainPending() {
+  std::size_t pending() const override { return pending_.size(); }
+
+  void Drain() override {
     for (const std::shared_ptr<TenantRouter::Slot>& slot : pending_) {
       out_ << TenantRouter::WaitSlot(*slot) << "\n";
     }
     pending_.clear();
   }
 
-  void HandleLine(const std::string& line) {
+  void Emit(std::string text) {
+    pending_.push_back(
+        TenantRouter::MakeCompletedSlot(line_no(), std::move(text)));
+  }
+
+  void Handle(const std::string& line) override {
     // `migrate` is a router-only verb: the backends never see it, so it
     // is peeled off before the shared grammar.
     std::istringstream tokens(line);
@@ -958,19 +834,19 @@ class RouterHandler : public ConnectionHandler {
         Emit(ErrorLine(
             JsonEscape("migrate expects: migrate <tenant> <host:port> "
                        "[snapshot=<path> [deltas=<p1,p2>] [graph=<path>]]"),
-            line_no_));
+            line_no()));
         return;
       }
       // A sequencing point like every admin verb: everything already
       // forwarded is answered before the move starts.
-      DrainPending();
-      Emit(router_->Migrate(tenant, target, spec_args, line_no_));
+      Drain();
+      Emit(router_->Migrate(tenant, target, spec_args, line_no()));
       return;
     }
 
     StatusOr<RoutedServeLine> parsed = ParseRoutedServeLine(line);
     if (!parsed.ok()) {
-      Emit(ErrorLine(JsonEscape(parsed.status().message()), line_no_));
+      Emit(ErrorLine(JsonEscape(parsed.status().message()), line_no()));
       return;
     }
     switch (parsed->admin) {
@@ -979,23 +855,23 @@ class RouterHandler : public ConnectionHandler {
       case RoutedServeLine::Admin::kShutdown:
         // Drains the ROUTER's front; the backends keep serving (they
         // have their own shutdown verbs).
-        shutdown_ = true;
+        RequestShutdown();
         Emit("{\"query\": \"shutdown\", \"ok\": true}");
         return;
       case RoutedServeLine::Admin::kStats:
-        DrainPending();
-        Emit(router_->FanOutAdmin("stats", "stats", line_no_));
+        Drain();
+        Emit(router_->FanOutAdmin("stats", "stats", line_no()));
         return;
       case RoutedServeLine::Admin::kTenants:
-        DrainPending();
-        Emit(router_->FanOutAdmin("tenants", "tenants", line_no_));
+        Drain();
+        Emit(router_->FanOutAdmin("tenants", "tenants", line_no()));
         return;
       case RoutedServeLine::Admin::kMetrics: {
-        DrainPending();
+        Drain();
         const bool text = !parsed->admin_args.empty() &&
                           parsed->admin_args[0] == "text";
         Emit(router_->FanOutAdmin(text ? "metrics text" : "metrics",
-                                  "metrics", line_no_));
+                                  "metrics", line_no()));
         return;
       }
       case RoutedServeLine::Admin::kAttach: {
@@ -1006,15 +882,15 @@ class RouterHandler : public ConnectionHandler {
           Emit(ErrorLine(
               JsonEscape("'attach' expects: attach <name> snapshot=<path> "
                          "[deltas=<p1,p2>] [graph=<path>]"),
-              line_no_));
+              line_no()));
           return;
         }
         // Synchronous: the spec is recorded only once the home backend
         // confirmed the attach.
-        DrainPending();
+        Drain();
         const std::string& tenant = parsed->admin_args[0];
         const int index = router_->BackendIndexFor(tenant);
-        auto slot = router_->ForwardLine(index, tenant, line, line_no_);
+        auto slot = router_->ForwardLine(index, tenant, line, line_no());
         std::string response = TenantRouter::WaitSlot(*slot);
         if (!IsErrorLine(response)) {
           const std::vector<std::string> spec_args(
@@ -1026,10 +902,10 @@ class RouterHandler : public ConnectionHandler {
         return;
       }
       case RoutedServeLine::Admin::kDetach: {
-        DrainPending();
+        Drain();
         const std::string& tenant = parsed->admin_args[0];
         const int index = router_->BackendIndexFor(tenant);
-        auto slot = router_->ForwardLine(index, tenant, line, line_no_);
+        auto slot = router_->ForwardLine(index, tenant, line, line_no());
         std::string response = TenantRouter::WaitSlot(*slot);
         if (!IsErrorLine(response)) {
           // Clean slate: the tenant's next attach goes to its hash home.
@@ -1047,21 +923,18 @@ class RouterHandler : public ConnectionHandler {
                      "and admin verbs (attach | detach | tenants | stats | "
                      "metrics | migrate | shutdown); unrouted requests "
                      "need a direct `serve` session"),
-          line_no_));
+          line_no()));
       return;
     }
     // A routed request: forward the RAW line — the backend's response
     // bytes are the client's response bytes.
     pending_.push_back(router_->ForwardLine(
         router_->BackendIndexFor(parsed->tenant), parsed->tenant, line,
-        line_no_));
+        line_no()));
   }
 
   TenantRouter* const router_;
-  std::ostream& out_;
-  std::int64_t line_no_ = 0;
-  bool shutdown_ = false;
-  /// Response slots in input order; DrainPending awaits and emits them.
+  /// Response slots in input order; Drain awaits and emits them.
   std::vector<std::shared_ptr<TenantRouter::Slot>> pending_;
 };
 

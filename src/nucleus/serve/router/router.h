@@ -67,6 +67,10 @@ std::uint64_t RouterTenantKey(const std::string& tenant);
 /// tests.
 std::int32_t JumpConsistentHash(std::uint64_t key, std::int32_t num_buckets);
 
+/// Responses a router front session holds before it writes them out: the
+/// router handler's ConnectionHandler batch bound.
+inline constexpr std::int64_t kRouterBatchBound = 256;
+
 struct TenantRouterOptions {
   /// Backend addresses as numeric "host:port". ORDER IS PLACEMENT:
   /// position in this list is the hash bucket, so every router given the
@@ -79,10 +83,9 @@ struct TenantRouterOptions {
   /// lines are rejected with a structured error.
   std::int64_t max_inflight = 1024;
   /// Health-probe cadence; <= 0 disables the prober thread (tests call
-  /// CheckBackendsNow() directly).
+  /// CheckBackendsNow() directly). One probe (connect + `stats` round
+  /// trip) gets 2 s.
   int health_interval_ms = 250;
-  /// Deadline for one probe's connect + `stats` round trip.
-  int health_timeout_ms = 2000;
   /// Metrics registry for the nucleus_router_* families (null = the
   /// process-global registry).
   obs::MetricsRegistry* metrics = nullptr;

@@ -5,38 +5,24 @@
 // Suites are named Exposition* so the CI TSan job picks them up.
 #include "nucleus/obs/exposition.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace nucleus {
 namespace obs {
 namespace {
 
-int Dial(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                      sizeof(addr)),
-            0)
-      << std::strerror(errno);
-  return fd;
-}
+using testing_util::Dial;
 
 /// One full scrape: send a request line, read to EOF.
 std::string Scrape(int port) {

@@ -7,8 +7,6 @@
 // named Router* so the CI TSan job picks them up.
 #include "nucleus/serve/router/router.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -17,7 +15,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -33,53 +30,15 @@
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/serve/snapshot_registry.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/util/socket.h"
 #include "test_util.h"
 
 namespace nucleus {
 namespace {
 
+using testing_util::Dial;
+using testing_util::SendAndCollect;
 using testing_util::TempPath;
-
-int Dial(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                      sizeof(addr)),
-            0)
-      << std::strerror(errno);
-  return fd;
-}
-
-std::string SendAndCollect(int fd, const std::string& payload) {
-  std::thread writer([fd, &payload] {
-    const char* p = payload.data();
-    std::size_t left = payload.size();
-    while (left > 0) {
-      const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return;
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
-    ::shutdown(fd, SHUT_WR);
-  });
-  std::string received;
-  char chunk[65536];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    received.append(chunk, static_cast<std::size_t>(n));
-  }
-  writer.join();
-  ::close(fd);
-  return received;
-}
 
 std::vector<std::string> SplitLines(const std::string& text) {
   std::vector<std::string> lines;
@@ -142,7 +101,6 @@ struct RoutedFixture {
     TenantRouterOptions options;
     options.backends = {backend_a->address(), backend_b->address()};
     options.health_interval_ms = health_interval_ms;
-    options.health_timeout_ms = 2000;
     options.metrics = &metrics;
     router = std::make_unique<TenantRouter>(std::move(options));
     EXPECT_TRUE(router->Start().ok());
@@ -468,22 +426,10 @@ TEST(RouterFailover, DeadBackendFailsFastOnlyForItsTenants) {
 // tear, front workers block in WaitSlot forever and the front server
 // can never drain.
 TEST(RouterFailover, ProbeFailureFailsInFlightLinesOnWedgedBackend) {
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(
-      ::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)),
-      0);
-  ASSERT_EQ(::listen(listen_fd, 16), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(
-      ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
-      0);
-  const int port = ntohs(addr.sin_port);
+  const StatusOr<TcpListener> listener = ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const int listen_fd = listener->fd;
+  const int port = listener->port;
 
   // A hand-rolled backend: answers every line until `wedge` flips, then
   // swallows everything (probes included) while keeping its
@@ -530,7 +476,6 @@ TEST(RouterFailover, ProbeFailureFailsInFlightLinesOnWedgedBackend) {
   TenantRouterOptions options;
   options.backends = {"127.0.0.1:" + std::to_string(port)};
   options.health_interval_ms = 0;   // the test drives probes
-  options.health_timeout_ms = 200;  // a wedged probe fails fast
   options.pool_size = 1;
   options.metrics = &metrics;
   TenantRouter router(std::move(options));
@@ -650,22 +595,10 @@ TEST(RouterAdmission, InFlightCapRejectsStructurally) {
   // it) but sits on routed lines until the test flips `release` — which
   // it does only AFTER observing both rejections, proving lines past the
   // cap were rejected at admission rather than queued behind the wedge.
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(
-      ::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)),
-      0);
-  ASSERT_EQ(::listen(listen_fd, 16), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(
-      ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
-      0);
-  const int port = ntohs(addr.sin_port);
+  const StatusOr<TcpListener> listener = ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const int listen_fd = listener->fd;
+  const int port = listener->port;
 
   std::atomic<bool> stop{false};
   std::atomic<bool> release{false};

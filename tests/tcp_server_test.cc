@@ -7,10 +7,8 @@
 // closing. Suites are named TcpServer* so the CI TSan job picks them up.
 #include "nucleus/serve/net/tcp_server.h"
 
-#include <arpa/inet.h>
 #include <dirent.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -20,7 +18,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -36,59 +33,15 @@
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/serve/snapshot_registry.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/util/socket.h"
 #include "test_util.h"
 
 namespace nucleus {
 namespace {
 
+using testing_util::Dial;
+using testing_util::SendAndCollect;
 using testing_util::TempPath;
-
-/// Blocking loopback dial; the server is already listening when tests
-/// call this, so no retry loop is needed.
-int Dial(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                      sizeof(addr)),
-            0)
-      << std::strerror(errno);
-  return fd;
-}
-
-/// Streams `payload` to `fd` from a side thread (so a payload larger than
-/// the socket buffers cannot deadlock against unread responses), half-
-/// closes, and returns everything the server sent back. A reset after the
-/// server's drain counts as end-of-stream.
-std::string SendAndCollect(int fd, const std::string& payload) {
-  std::thread writer([fd, &payload] {
-    const char* p = payload.data();
-    std::size_t left = payload.size();
-    while (left > 0) {
-      const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return;
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
-    ::shutdown(fd, SHUT_WR);
-  });
-  std::string received;
-  char chunk[65536];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    received.append(chunk, static_cast<std::size_t>(n));
-  }
-  writer.join();
-  ::close(fd);
-  return received;
-}
 
 std::vector<std::string> SplitLines(const std::string& text) {
   std::vector<std::string> lines;
@@ -742,20 +695,9 @@ TEST(TcpServerLifecycle, FailedStartIsRetryableWithoutLeakingFds) {
   };
 
   // Occupy an ephemeral port so Start() fails with "address in use".
-  const int blocker = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(blocker, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(blocker, reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(blocker, 1), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(blocker, reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
-  const int taken_port = ntohs(addr.sin_port);
+  const StatusOr<TcpListener> blocker = ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(blocker.ok()) << blocker.status().ToString();
+  const int taken_port = blocker->port;
 
   FuzzTenants tenants;
   SnapshotRegistry registry;
@@ -773,7 +715,7 @@ TEST(TcpServerLifecycle, FailedStartIsRetryableWithoutLeakingFds) {
   EXPECT_EQ(count_open_fds(), fds_after_first_failure);
 
   // Free the port; the same object must now start and serve.
-  ASSERT_EQ(::close(blocker), 0);
+  ASSERT_EQ(::close(blocker->fd), 0);
   ASSERT_TRUE(server.Start().ok());
   EXPECT_EQ(server.port(), taken_port);
   const std::string transcript =

@@ -10,11 +10,16 @@
 #include <functional>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
+
+#include <cerrno>
+#include <chrono>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +32,7 @@
 #include "nucleus/graph/generators.h"
 #include "nucleus/graph/graph.h"
 #include "nucleus/graph/graph_builder.h"
+#include "nucleus/util/socket.h"
 
 namespace nucleus {
 namespace testing_util {
@@ -42,6 +48,38 @@ inline std::string TempPath(const std::string& name) {
 /// A committed fixture under tests/data/ (e.g. "v1/zoo_k6_core.nucsnap").
 inline std::string TestDataPath(const std::string& name) {
   return std::string(NUCLEUS_TEST_DATA_DIR) + "/" + name;
+}
+
+// ---------------------------------------------------------------------------
+// Loopback clients for the serving-tier tests, over util/socket.
+
+/// Dials 127.0.0.1:`port`; the server under test is already listening.
+inline int Dial(int port) {
+  const StatusOr<int> fd = DialTcp(
+      "127.0.0.1", port, SocketClock::now() + std::chrono::seconds(10));
+  EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+  return fd.ok() ? *fd : -1;
+}
+
+/// Streams `payload` to `fd` from a side thread (so a payload larger than
+/// the socket buffers cannot deadlock against unread responses), half-
+/// closes, and returns everything the server sent back. A reset after the
+/// server's drain counts as end-of-stream. Closes `fd`.
+inline std::string SendAndCollect(int fd, const std::string& payload) {
+  std::thread writer([fd, &payload] {
+    if (SendAll(fd, payload)) ::shutdown(fd, SHUT_WR);
+  });
+  std::string received;
+  char chunk[65536];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  writer.join();
+  ::close(fd);
+  return received;
 }
 
 // ---------------------------------------------------------------------------

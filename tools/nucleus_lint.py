@@ -24,6 +24,11 @@ naked-mutex
     std::unique_lock / std::scoped_lock / std::shared_lock tokens
     outside util/mutex.h.
 
+raw-socket
+    Listen/dial code lives in one module, util/socket.{h,cc}. Bans
+    ::socket( / ::bind( / ::listen( / ::connect( in src/nucleus outside
+    util/socket.*, so the hand-rolled copies cannot come back.
+
 A finding on a specific line can be suppressed with a trailing
 `// nucleus-lint: allow(<rule>)` comment.
 
@@ -41,7 +46,7 @@ import re
 import sys
 import tempfile
 
-RULES = ("tsan-filter-sync", "wall-clock", "naked-mutex")
+RULES = ("tsan-filter-sync", "wall-clock", "naked-mutex", "raw-socket")
 
 SUPPRESS_RE = re.compile(r"//\s*nucleus-lint:\s*allow\(([a-z-]+)\)")
 
@@ -55,8 +60,12 @@ NAKED_MUTEX_RE = re.compile(
     r"|std::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b"
 )
 
+# The global-scope calls only: std::bind( and friends are not sockets.
+RAW_SOCKET_RE = re.compile(r"(?<!\w)::(?:socket|bind|listen|connect)\s*\(")
+
 WALL_CLOCK_WHITELIST = ("obs/", "util/timer")
 NAKED_MUTEX_WHITELIST = ("util/mutex.h",)
+RAW_SOCKET_WHITELIST = ("util/socket.",)
 
 CI_TSAN_RE = re.compile(r'ctest_args:\s*-R\s*"([^"]+)"')
 
@@ -182,6 +191,9 @@ def lint(root: str) -> list:
         )
         check_file_rule(
             root, path, "naked-mutex", NAKED_MUTEX_RE, NAKED_MUTEX_WHITELIST, findings
+        )
+        check_file_rule(
+            root, path, "raw-socket", RAW_SOCKET_RE, RAW_SOCKET_WHITELIST, findings
         )
     return findings
 
@@ -312,6 +324,18 @@ def self_test() -> int:
                 "steady_clock: expected no findings, got: "
                 + "; ".join(str(f) for f in findings)
             )
+
+    # 6. Raw socket calls flagged outside util/socket.*, suppression
+    # honored, std::bind not mistaken for ::bind.
+    with tempfile.TemporaryDirectory() as root:
+        _fixture_base(root, "X", "X")
+        _write(root, "src/nucleus/serve/dial.cc",
+               "int fd = ::socket(2, 1, 0);\nint r = ::connect(fd, 0, 0);\n")
+        _write(root, "src/nucleus/obs/ok.cc",
+               "int l = ::listen(3, 1);  // nucleus-lint: allow(raw-socket)\n"
+               "auto b = std::bind(F, 3);\n")
+        _write(root, "src/nucleus/util/socket.cc", "int b = ::bind(3, 0, 0);\n")
+        expect("raw-socket", lint(root), "raw-socket", 2)
 
     if failures:
         for failure in failures:
