@@ -4,7 +4,9 @@
 // compared on identical FND peel states:
 //   binned  — counting-sort into max-lambda bins (the paper's choice);
 //   sorted  — comparison std::stable_sort of the pairs by that key.
-// Both produce the same hierarchy; the binned variant is O(|ADJ| + maxλ).
+// Both feed the same per-bin step, so the timings differ by ordering only,
+// and both produce the same hierarchy (fnd_test's order-insensitivity
+// test); the binned variant is O(|ADJ| + maxλ).
 #include <algorithm>
 #include <iostream>
 #include <utility>
@@ -19,34 +21,29 @@
 namespace nucleus {
 namespace {
 
-// Comparison-sort variant of Alg. 9 over the same skeleton/ADJ state.
+// Comparison-sort variant: the same per-bin step (internal::AssembleBin)
+// fed from a stable_sort of the pairs, so only the ordering differs.
 double SortedBuildSeconds(FndPeelState state) {
   Timer timer;
-  HierarchySkeleton& skeleton = state.skeleton;
+  const auto& adj = state.adj;
+  const auto lower = [&state](const auto& p) {
+    return state.skeleton.LambdaOf(p.second);
+  };
   std::stable_sort(state.adj.begin(), state.adj.end(),
-                   [&skeleton](const std::pair<std::int32_t, std::int32_t>& a,
-                               const std::pair<std::int32_t, std::int32_t>& b) {
-                     return skeleton.LambdaOf(a.second) >
-                            skeleton.LambdaOf(b.second);
+                   [&](const auto& a, const auto& b) {
+                     return lower(a) > lower(b);
                    });
   std::vector<std::pair<std::int32_t, std::int32_t>> merge;
-  std::size_t i = 0;
-  while (i < state.adj.size()) {
-    const Lambda level = skeleton.LambdaOf(state.adj[i].second);
-    merge.clear();
-    for (; i < state.adj.size() &&
-           skeleton.LambdaOf(state.adj[i].second) == level;
-         ++i) {
-      const std::int32_t s = skeleton.FindRoot(state.adj[i].first);
-      const std::int32_t t = skeleton.FindRoot(state.adj[i].second);
-      if (s == t) continue;
-      if (skeleton.LambdaOf(s) > skeleton.LambdaOf(t)) {
-        skeleton.AttachChild(s, t);
-      } else {
-        merge.emplace_back(s, t);
-      }
-    }
-    for (const auto& [s, t] : merge) skeleton.UnionR(s, t);
+  for (std::size_t i = 0, end = 0; i < adj.size(); i = end) {
+    while (end < adj.size() && lower(adj[end]) == lower(adj[i])) ++end;
+    internal::AssembleBin(
+        lower(adj[i]),
+        [&](auto&& visit) {
+          for (std::size_t j = i; j < end; ++j) {
+            visit(adj[j].first, adj[j].second);
+          }
+        },
+        &merge, &state.skeleton);
   }
   return timer.Seconds();
 }

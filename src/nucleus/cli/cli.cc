@@ -57,7 +57,7 @@ struct ParsedArgs {
 bool ParseArgs(const std::vector<std::string>& args, ParsedArgs* parsed,
                std::ostream& err) {
   if (args.empty()) {
-    err << "error: missing command (decompose | stats | generate)\n";
+    err << "error: missing command (see usage below)\n";
     return false;
   }
   parsed->command = args[0];
@@ -302,7 +302,8 @@ int CmdDecompose(const ParsedArgs& parsed, std::ostream& out,
   out << "time: " << result.timings.total_seconds << "s (index "
       << result.timings.index_seconds << ", peel "
       << result.timings.peel_seconds << ", post "
-      << result.timings.traverse_seconds << ")\n";
+      << result.timings.traverse_seconds << ", tree "
+      << result.timings.tree_seconds << ")\n";
 
   const HierarchyProfile profile = ProfileHierarchy(result.hierarchy);
   out << "hierarchy: depth " << profile.max_depth << ", leaves "

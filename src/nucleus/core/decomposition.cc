@@ -58,17 +58,20 @@ DecompositionResult RunOnSpace(const Space& space,
   Timer timer;
 
   // Serial stays on Alg. 1's bucket queue; any other resolved thread count
-  // peels wave-parallel (bit-identical lambda either way).
+  // peels wave-parallel (bit-identical lambda either way). FND peels on
+  // its own.
   const bool threaded = options.parallel.ResolvedThreads() > 1;
-  const auto peel = [&] {
-    return threaded ? PeelParallel(space, options.parallel) : Peel(space);
-  };
+  const bool fnd = options.algorithm == Algorithm::kFnd;
+  if (!fnd) {
+    result.peel =
+        threaded ? PeelParallel(space, options.parallel) : Peel(space);
+    result.timings.peel_seconds = timer.Seconds();
+    timer.Restart();
+  }
 
+  SkeletonBuild build;  // kDft, kFnd and kLcps build a skeleton
   switch (options.algorithm) {
     case Algorithm::kNaive: {
-      result.peel = peel();
-      result.timings.peel_seconds = timer.Seconds();
-      timer.Restart();
       if (options.collect_nuclei) {
         result.nuclei =
             CollectNucleiNaive(space, result.peel.lambda, result.peel.max_lambda);
@@ -79,67 +82,45 @@ DecompositionResult RunOnSpace(const Space& space,
             space, result.peel.lambda, result.peel.max_lambda, nullptr);
         result.naive_num_nuclei = stats.num_nuclei;
       }
-      result.timings.traverse_seconds = timer.Seconds();
       break;
     }
-    case Algorithm::kDft: {
-      result.peel = peel();
-      result.timings.peel_seconds = timer.Seconds();
-      timer.Restart();
-      SkeletonBuild build = DfTraversal(space, result.peel);
-      result.num_subnuclei = build.num_subnuclei;
-      result.timings.traverse_seconds = timer.Seconds();
-      if (options.build_tree) {
-        result.hierarchy =
-            NucleusHierarchy::FromSkeleton(build, result.num_cliques);
-      }
+    case Algorithm::kDft:
+      build = DfTraversal(space, result.peel);
       break;
-    }
     case Algorithm::kFnd: {
-      FndResult fnd = threaded
-                          ? FastNucleusDecompositionParallel(space,
-                                                             options.parallel)
-                          : FastNucleusDecomposition(space);
-      result.peel = std::move(fnd.peel);
-      result.num_subnuclei = fnd.build.num_subnuclei;
-      result.num_adj = fnd.num_adj;
-      result.timings.peel_seconds = fnd.peel_seconds;
-      result.timings.traverse_seconds = fnd.build_seconds;
-      if (options.build_tree) {
-        result.hierarchy =
-            NucleusHierarchy::FromSkeleton(fnd.build, result.num_cliques);
-      }
+      FndResult run = threaded ? FastNucleusDecompositionParallel(
+                                     space, options.parallel)
+                               : FastNucleusDecomposition(space);
+      result.peel = std::move(run.peel);
+      result.num_adj = run.num_adj;
+      result.timings.peel_seconds = run.peel_seconds;
+      result.timings.traverse_seconds = run.build_seconds;
+      build = std::move(run.build);
       break;
     }
-    case Algorithm::kLcps: {
+    case Algorithm::kLcps:
       if constexpr (std::is_same_v<Space, VertexSpace>) {
-        result.peel = peel();
-        result.timings.peel_seconds = timer.Seconds();
-        timer.Restart();
-        SkeletonBuild build = LcpsKCoreHierarchy(space.graph(), result.peel);
-        result.num_subnuclei = build.num_subnuclei;
-        result.timings.traverse_seconds = timer.Seconds();
-        if (options.build_tree) {
-          result.hierarchy =
-              NucleusHierarchy::FromSkeleton(build, result.num_cliques);
-        }
+        build = LcpsKCoreHierarchy(space.graph(), result.peel);
       } else {
         NUCLEUS_CHECK_MSG(false, "LCPS is only defined for Family::kCore12");
       }
       break;
-    }
-    case Algorithm::kHypo: {
-      result.peel = peel();
-      result.timings.peel_seconds = timer.Seconds();
-      timer.Restart();
+    case Algorithm::kHypo:
       (void)HypoTraversal(space);
-      result.timings.traverse_seconds = timer.Seconds();
       break;
-    }
+  }
+  if (!fnd) result.timings.traverse_seconds = timer.Seconds();
+  result.num_subnuclei = build.num_subnuclei;
+  if (options.build_tree && build.root_id != kInvalidId) {
+    timer.Restart();
+    result.hierarchy =
+        NucleusHierarchy::FromSkeleton(build, result.num_cliques);
+    result.timings.tree_seconds = timer.Seconds();
   }
   result.timings.total_seconds = result.timings.index_seconds +
                                  result.timings.peel_seconds +
-                                 result.timings.traverse_seconds;
+                                 result.timings.traverse_seconds +
+                                 result.timings.tree_seconds;
   return result;
 }
 

@@ -54,8 +54,9 @@ struct DecomposeOptions {
 struct PhaseTimings {
   double index_seconds = 0.0;     // edge/triangle index construction
   double peel_seconds = 0.0;      // Alg. 1 (FND: extended peeling)
-  double traverse_seconds = 0.0;  // traversal or BuildHierarchy phase
-  double total_seconds = 0.0;     // index + peel + traverse
+  double traverse_seconds = 0.0;  // traversal or Alg. 9 (FND) phase
+  double tree_seconds = 0.0;      // NucleusHierarchy::FromSkeleton
+  double total_seconds = 0.0;     // index + peel + traverse + tree
 };
 
 struct DecompositionResult {

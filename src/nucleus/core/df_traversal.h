@@ -14,6 +14,7 @@
 #include <queue>
 #include <vector>
 
+#include "nucleus/core/fast_nucleus.h"
 #include "nucleus/core/spaces.h"
 #include "nucleus/core/types.h"
 
@@ -117,11 +118,7 @@ SkeletonBuild DfTraversal(const Space& space, const PeelResult& peel) {
     }
   }
 
-  build.num_subnuclei = build.skeleton.NumNodes();
-  build.root_id = build.skeleton.AddNode(kRootLambda);
-  for (std::int32_t s = 0; s < build.root_id; ++s) {
-    if (!build.skeleton.HasParent(s)) build.skeleton.SetParent(s, build.root_id);
-  }
+  internal::CloseSkeleton(&build);
   return build;
 }
 

@@ -23,28 +23,19 @@ void BuildHierarchy(
 
   std::vector<std::pair<std::int32_t, std::int32_t>> merge;
   for (Lambda level = max_lambda; level >= 0; --level) {
-    merge.clear();
-    for (std::int64_t i = bin[level]; i < bin[level + 1]; ++i) {
-      const std::int32_t s = skeleton->FindRoot(binned_s[i]);
-      const std::int32_t t = skeleton->FindRoot(binned_t[i]);
-      if (s == t) continue;
-      NUCLEUS_CHECK(skeleton->LambdaOf(t) == level);
-      NUCLEUS_CHECK(skeleton->LambdaOf(s) >= level);
-      if (skeleton->LambdaOf(s) > skeleton->LambdaOf(t)) {
-        skeleton->AttachChild(s, t);
-      } else {
-        merge.emplace_back(s, t);
-      }
-    }
-    for (const auto& [s, t] : merge) skeleton->UnionR(s, t);
+    AssembleBin(
+        level,
+        [&](auto&& visit) {
+          for (std::int64_t i = bin[level]; i < bin[level + 1]; ++i) {
+            visit(binned_s[i], binned_t[i]);
+          }
+        },
+        &merge, skeleton);
   }
 }
 
-void FinishSkeleton(
-    const std::vector<std::pair<std::int32_t, std::int32_t>>& adj,
-    Lambda max_lambda, SkeletonBuild* build) {
+void CloseSkeleton(SkeletonBuild* build) {
   HierarchySkeleton& skeleton = build->skeleton;
-  BuildHierarchy(adj, max_lambda, &skeleton);
   build->num_subnuclei = skeleton.NumNodes();
   build->root_id = skeleton.AddNode(kRootLambda);
   for (std::int32_t s = 0; s < build->root_id; ++s) {

@@ -10,6 +10,9 @@
 // lambda, in which case the pair of sub-nuclei is appended to the ADJ list.
 // A binned pass over ADJ in decreasing lambda order then assembles the
 // hierarchy-skeleton exactly as DF-Traversal would, with no traversal.
+//
+// That assembler (internal:: below) exists only here: parallel FND, the
+// label-driven variants and the semi-external builders call it too.
 #ifndef NUCLEUS_CORE_FAST_NUCLEUS_H_
 #define NUCLEUS_CORE_FAST_NUCLEUS_H_
 
@@ -48,18 +51,56 @@ struct FndPeelState {
 
 namespace internal {
 
-/// Alg. 9. Bins the ADJ pairs by the smaller-side lambda and processes bins
-/// in decreasing order, attaching resolved higher-lambda roots under
-/// lower-lambda ones and merging equal-lambda roots after each bin.
+/// Alg. 9, one bin; bins must come in decreasing level order.
+/// `for_each_pair(visit)` calls visit(s, t) for each pair of the bin, in any
+/// order (t's node has lambda == level, s's >= level). Higher-lambda roots
+/// are attached under t's root; equal-lambda roots are merged after the
+/// bin. `merge` is caller scratch.
+template <typename ForEachPair>
+void AssembleBin(Lambda level, ForEachPair&& for_each_pair,
+                 std::vector<std::pair<std::int32_t, std::int32_t>>* merge,
+                 HierarchySkeleton* skeleton) {
+  merge->clear();
+  for_each_pair([&](std::int32_t s_node, std::int32_t t_node) {
+    const std::int32_t s = skeleton->FindRoot(s_node);
+    const std::int32_t t = skeleton->FindRoot(t_node);
+    if (s == t) return;
+    NUCLEUS_CHECK(skeleton->LambdaOf(t) == level);
+    NUCLEUS_CHECK(skeleton->LambdaOf(s) >= level);
+    if (skeleton->LambdaOf(s) > level) {
+      skeleton->AttachChild(s, t);
+    } else {
+      merge->emplace_back(s, t);
+    }
+  });
+  for (const auto& [s, t] : *merge) skeleton->UnionR(s, t);
+}
+
+/// Alg. 9 over in-memory node-level ADJ pairs: counting-sorts them by the
+/// lower side's lambda and feeds the bins to AssembleBin.
 void BuildHierarchy(const std::vector<std::pair<std::int32_t, std::int32_t>>& adj,
                     Lambda max_lambda, HierarchySkeleton* skeleton);
 
-/// The shared FND epilogue (serial and parallel pipelines): BuildHierarchy
-/// over `adj`, sub-nucleus count, artificial root, and tying parentless
-/// nodes to it. `build->skeleton` and `build->comp` must already be set.
-void FinishSkeleton(
-    const std::vector<std::pair<std::int32_t, std::int32_t>>& adj,
-    Lambda max_lambda, SkeletonBuild* build);
+/// Records num_subnuclei, adds the artificial root (kRootLambda) and ties
+/// every parentless node to it.
+void CloseSkeleton(SkeletonBuild* build);
+
+/// One skeleton node per component of a disjoint-set over the K_r's, in
+/// ascending first-member order; fills build->comp. `find(u)` returns u's
+/// representative; members of one component share their lambda.
+template <typename Find>
+void NumberSubnuclei(const std::vector<Lambda>& lambda, Find&& find,
+                     SkeletonBuild* build) {
+  const std::int64_t n = static_cast<std::int64_t>(lambda.size());
+  std::vector<std::int32_t>& comp = build->comp;
+  comp.assign(n, kInvalidId);
+  for (CliqueId u = 0; u < n; ++u) {
+    const std::int32_t r = find(u);
+    // comp[r] doubles as the root's node slot until r itself is reached.
+    if (comp[r] == kInvalidId) comp[r] = build->skeleton.AddNode(lambda[u]);
+    comp[u] = comp[r];
+  }
+}
 
 }  // namespace internal
 
@@ -139,7 +180,9 @@ FndResult FastNucleusDecomposition(const Space& space) {
   result.num_adj = static_cast<std::int64_t>(state.adj.size());
   result.build.skeleton = std::move(state.skeleton);
   result.build.comp = std::move(state.comp);
-  internal::FinishSkeleton(state.adj, result.peel.max_lambda, &result.build);
+  internal::BuildHierarchy(state.adj, result.peel.max_lambda,
+                           &result.build.skeleton);
+  internal::CloseSkeleton(&result.build);
   result.build_seconds = timer.Seconds();
   return result;
 }

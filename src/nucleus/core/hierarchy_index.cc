@@ -31,11 +31,12 @@ HierarchyIndex::HierarchyIndex(const NucleusHierarchy& hierarchy)
   for (std::int32_t x = 0; x < num_nodes_; ++x) {
     up_[x] = hierarchy.node(x).parent;  // j = 0
   }
+  const JumpTableView jumps = Jumps();
   for (std::int32_t j = 1; j < levels_; ++j) {
     for (std::int32_t x = 0; x < num_nodes_; ++x) {
-      const std::int32_t half = Up(j - 1, x);
+      const std::int32_t half = jumps.Up(j - 1, x);
       up_[static_cast<std::size_t>(j) * num_nodes_ + x] =
-          half == kInvalidId ? kInvalidId : Up(j - 1, half);
+          half == kInvalidId ? kInvalidId : jumps.Up(j - 1, half);
     }
   }
 }
@@ -55,41 +56,23 @@ HierarchyIndex::HierarchyIndex(const NucleusHierarchy& hierarchy,
 
 std::int32_t HierarchyIndex::Lca(std::int32_t a, std::int32_t b) const {
   NUCLEUS_CHECK(a >= 0 && a < num_nodes_ && b >= 0 && b < num_nodes_);
-  if (depth_[a] < depth_[b]) std::swap(a, b);
-  // Lift a to b's depth.
-  std::int32_t diff = depth_[a] - depth_[b];
-  for (std::int32_t j = 0; diff != 0; ++j, diff >>= 1) {
-    if (diff & 1) a = Up(j, a);
-  }
-  if (a == b) return a;
-  for (std::int32_t j = levels_ - 1; j >= 0; --j) {
-    if (Up(j, a) != Up(j, b)) {
-      a = Up(j, a);
-      b = Up(j, b);
-    }
-  }
-  return Up(0, a);
+  return Jumps().Lca(a, b);
 }
 
 std::int32_t HierarchyIndex::NucleusAtLevel(CliqueId u, Lambda k) const {
   NUCLEUS_CHECK(k >= 1);
-  std::int32_t x = hierarchy_->NodeOfClique(u);
-  if (hierarchy_->node(x).lambda < k) return kInvalidId;
-  // Lift to the highest ancestor whose lambda is still >= k.
-  for (std::int32_t j = levels_ - 1; j >= 0; --j) {
-    const std::int32_t anc = Up(j, x);
-    if (anc != kInvalidId && hierarchy_->node(anc).lambda >= k) x = anc;
-  }
-  return x;
+  return Jumps().NucleusAtLevel(
+      hierarchy_->NodeOfClique(u), k,
+      [this](std::int32_t x) { return NodeLambda(x); });
 }
 
 std::int32_t HierarchyIndex::SmallestCommonNucleus(CliqueId u,
                                                    CliqueId v) const {
-  const std::int32_t lca =
-      Lca(hierarchy_->NodeOfClique(u), hierarchy_->NodeOfClique(v));
-  // The artificial root (and any lambda < 1 node) is not a nucleus.
-  if (hierarchy_->node(lca).lambda < 1) return kInvalidId;
-  return lca;
+  const std::int32_t a = hierarchy_->NodeOfClique(u);
+  const std::int32_t b = hierarchy_->NodeOfClique(v);
+  NUCLEUS_CHECK(a >= 0 && a < num_nodes_ && b >= 0 && b < num_nodes_);
+  return Jumps().SmallestCommonNucleus(
+      a, b, [this](std::int32_t x) { return NodeLambda(x); });
 }
 
 Lambda HierarchyIndex::CommonNucleusLevel(CliqueId u, CliqueId v) const {

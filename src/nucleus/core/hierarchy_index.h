@@ -16,6 +16,8 @@
 #define NUCLEUS_CORE_HIERARCHY_INDEX_H_
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "nucleus/core/hierarchy.h"
@@ -29,6 +31,58 @@ struct HierarchyIndexTables {
   std::vector<std::int32_t> depth;  // per node, root = 0
   std::vector<std::int32_t> up;     // levels x num_nodes, row-major
   std::int32_t levels = 0;
+};
+
+/// Binary lifting over tables in HierarchyIndexTables' layout: the one
+/// implementation behind HierarchyIndex and the serving tier's SourceView.
+/// Inline so query hot paths pay no call; `lambda_of(node)` reads lambda.
+struct JumpTableView {
+  std::span<const std::int32_t> depth;  // per node, root = 0
+  std::span<const std::int32_t> up;     // levels x depth.size(), row-major
+  std::int32_t levels = 0;
+
+  std::int32_t Up(std::int32_t j, std::int32_t x) const {
+    return up[static_cast<std::size_t>(j) * depth.size() + x];
+  }
+
+  std::int32_t Lca(std::int32_t a, std::int32_t b) const {
+    if (depth[a] < depth[b]) std::swap(a, b);
+    // Lift a to b's depth.
+    std::int32_t diff = depth[a] - depth[b];
+    for (std::int32_t j = 0; diff != 0; ++j, diff >>= 1) {
+      if (diff & 1) a = Up(j, a);
+    }
+    if (a == b) return a;
+    for (std::int32_t j = levels - 1; j >= 0; --j) {
+      if (Up(j, a) != Up(j, b)) {
+        a = Up(j, a);
+        b = Up(j, b);
+      }
+    }
+    return Up(0, a);
+  }
+
+  /// The highest ancestor of node x whose lambda is still >= k, or
+  /// kInvalidId when lambda(x) < k.
+  template <typename NodeLambda>
+  std::int32_t NucleusAtLevel(std::int32_t x, Lambda k,
+                              NodeLambda lambda_of) const {
+    if (lambda_of(x) < k) return kInvalidId;
+    for (std::int32_t j = levels - 1; j >= 0; --j) {
+      const std::int32_t anc = Up(j, x);
+      if (anc != kInvalidId && lambda_of(anc) >= k) x = anc;
+    }
+    return x;
+  }
+
+  /// The LCA of a and b, or kInvalidId when it is not a nucleus (lambda
+  /// < 1, e.g. the artificial root).
+  template <typename NodeLambda>
+  std::int32_t SmallestCommonNucleus(std::int32_t a, std::int32_t b,
+                                     NodeLambda lambda_of) const {
+    const std::int32_t lca = Lca(a, b);
+    return lambda_of(lca) < 1 ? kInvalidId : lca;
+  }
 };
 
 class HierarchyIndex {
@@ -73,8 +127,9 @@ class HierarchyIndex {
   std::int32_t num_nodes_ = 0;
   std::int32_t levels_ = 0;
 
-  std::int32_t Up(std::int32_t j, std::int32_t x) const {
-    return up_[static_cast<std::size_t>(j) * num_nodes_ + x];
+  JumpTableView Jumps() const { return {depth_, up_, levels_}; }
+  Lambda NodeLambda(std::int32_t node) const {
+    return hierarchy_->node(node).lambda;
   }
 };
 

@@ -10,8 +10,13 @@
 //             root pointers only, leaving parent (the reported hierarchy)
 //             untouched.
 //
-// Both DF-Traversal (Alg. 5/6) and FastNucleusDecomposition (Alg. 8/9)
-// build one of these; NucleusHierarchy contracts it into the final tree.
+// DF-Traversal (Alg. 5/6) builds one of these directly. Every other
+// builder goes through the one Alg. 9 assembler in core/fast_nucleus.h
+// (per-bin attach-or-merge, sub-nucleus numbering, root close): serial FND
+// (Alg. 8/9), parallel FND, the label-driven variants
+// (variants/vertex_hierarchy.h) and the semi-external core and truss
+// builders (em/). LCPS (core/lcps.h) builds its chain top-down with
+// SetParent. NucleusHierarchy contracts the skeleton into the final tree.
 #ifndef NUCLEUS_DSF_ROOT_FOREST_H_
 #define NUCLEUS_DSF_ROOT_FOREST_H_
 

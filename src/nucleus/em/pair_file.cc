@@ -1,6 +1,11 @@
 #include "nucleus/em/pair_file.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "nucleus/core/fast_nucleus.h"
+#include "nucleus/dsf/disjoint_set.h"
+#include "nucleus/util/scratch.h"
 
 namespace nucleus {
 
@@ -42,14 +47,12 @@ Status PairFile::Flush() {
   return Status::Ok();
 }
 
-Status PairFile::Scan(
-    const std::function<void(std::int32_t, std::int32_t)>& f) {
+Status PairFile::Scan(const PairSink& f) {
   return ScanRange(0, num_pairs_, f);
 }
 
-Status PairFile::ScanRange(
-    std::int64_t begin, std::int64_t end,
-    const std::function<void(std::int32_t, std::int32_t)>& f) {
+Status PairFile::ScanRange(std::int64_t begin, std::int64_t end,
+                           const PairSink& f) {
   NUCLEUS_CHECK(begin >= 0 && begin <= end && end <= num_pairs_);
   NUCLEUS_CHECK_MSG(write_buffer_.empty(), "Flush() before scanning");
   if (begin == end) return Status::Ok();
@@ -156,6 +159,70 @@ StatusOr<PairFile> PairFile::SortByBin(
     return Status::Internal("flush failed for " + out_path);
   }
   return out;
+}
+
+Status BuildExternalHierarchy(const PeelResult& peel,
+                              const std::string& temp_dir,
+                              const std::string& stem,
+                              const PairHarvest& harvest, SkeletonBuild* build,
+                              std::int64_t* num_adj, EmIoStats* io) {
+  const std::vector<Lambda>& lambda = peel.lambda;
+  const std::string spill_path = UniqueScratchPath(temp_dir, stem, ".pairs");
+  const std::string sorted_path =
+      UniqueScratchPath(temp_dir, stem + "_sorted", ".pairs");
+  // Declared before the PairFiles so the scratch files are closed before
+  // they are removed, on success and on every early-error return.
+  ScratchFileRemover spill_cleanup(spill_path);
+  ScratchFileRemover sorted_cleanup(sorted_path);
+  auto spill_or = PairFile::Create(spill_path);
+  if (!spill_or.ok()) return spill_or.status();
+  PairFile spill = std::move(*spill_or);
+
+  DisjointSet sets(static_cast<std::int64_t>(lambda.size()));
+  Status append_status = Status::Ok();
+  if (Status s = harvest(
+          [&sets](std::int32_t a, std::int32_t b) { sets.Union(a, b); },
+          [&](std::int32_t hi, std::int32_t lo) {
+            if (append_status.ok()) append_status = spill.Append(hi, lo);
+          });
+      !s.ok()) {
+    return s;
+  }
+  if (!append_status.ok()) return append_status;
+  if (Status s = spill.Flush(); !s.ok()) return s;
+  *num_adj = spill.NumPairs();
+
+  internal::NumberSubnuclei(
+      lambda, [&sets](std::int32_t u) { return sets.Find(u); }, build);
+
+  std::vector<std::int64_t> bin_begin;
+  auto sorted_or = spill.SortByBin(
+      [&lambda](std::int32_t /*hi*/, std::int32_t lo) { return lambda[lo]; },
+      peel.max_lambda + 1, sorted_path, &bin_begin);
+  if (!sorted_or.ok()) return sorted_or.status();
+  PairFile sorted = std::move(*sorted_or);
+
+  const std::vector<std::int32_t>& comp = build->comp;
+  std::vector<std::pair<std::int32_t, std::int32_t>> merge;
+  for (Lambda k = peel.max_lambda; k >= 0; --k) {
+    Status scan = Status::Ok();
+    internal::AssembleBin(
+        k,
+        [&](auto&& visit) {
+          scan = sorted.ScanRange(
+              bin_begin[k], bin_begin[k + 1],
+              [&](std::int32_t hi, std::int32_t lo) {
+                visit(comp[hi], comp[lo]);
+              });
+        },
+        &merge, &build->skeleton);
+    if (!scan.ok()) return scan;
+  }
+  internal::CloseSkeleton(build);
+
+  io->Add(spill.stats());
+  io->Add(sorted.stats());
+  return Status::Ok();
 }
 
 }  // namespace nucleus

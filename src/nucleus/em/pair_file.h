@@ -4,11 +4,12 @@
 //
 // The paper's FND (Alg. 8) keeps its ADJ list of inter-sub-nucleus
 // connections in memory; in the external-memory model that list (up to
-// O(|E|) pairs) must spill to disk. BuildHierarchy (Alg. 9) only needs the
-// pairs grouped by bin and visited in decreasing bin order, which an
-// external counting sort delivers with one counting scan and one scatter
-// scan, using O(num_bins) memory for offsets plus a small per-bin write
-// buffer.
+// O(|E|) pairs) must spill to disk. The shared Alg. 9 assembler
+// (core/fast_nucleus.h) only needs the pairs grouped by bin and visited in
+// decreasing bin order, which an external counting sort delivers with one
+// counting scan and one scatter scan, using O(num_bins) memory for offsets
+// plus a small per-bin write buffer. BuildExternalHierarchy below is the
+// pipeline both semi-external builders share.
 #ifndef NUCLEUS_EM_PAIR_FILE_H_
 #define NUCLEUS_EM_PAIR_FILE_H_
 
@@ -19,10 +20,14 @@
 #include <string>
 #include <vector>
 
+#include "nucleus/core/types.h"
 #include "nucleus/em/adjacency_file.h"
 #include "nucleus/util/status.h"
 
 namespace nucleus {
+
+/// Receives one (a, b) pair.
+using PairSink = std::function<void(std::int32_t, std::int32_t)>;
 
 class PairFile {
  public:
@@ -43,12 +48,11 @@ class PairFile {
   std::int64_t NumPairs() const { return num_pairs_; }
 
   /// Sequential scan of all pairs in append order.
-  Status Scan(const std::function<void(std::int32_t, std::int32_t)>& f);
+  Status Scan(const PairSink& f);
 
   /// Sequential scan of pairs [begin, end) (indices in append order for an
   /// unsorted file; bin-contiguous positions after SortByBin).
-  Status ScanRange(std::int64_t begin, std::int64_t end,
-                   const std::function<void(std::int32_t, std::int32_t)>& f);
+  Status ScanRange(std::int64_t begin, std::int64_t end, const PairSink& f);
 
   /// External counting sort: writes a new pair file at `out_path` where
   /// pairs are grouped by key(a, b) in increasing key order, and returns it
@@ -78,6 +82,23 @@ class PairFile {
   std::vector<std::int32_t> write_buffer_;  // flattened (a, b) pairs
   EmIoStats stats_;
 };
+
+using PairHarvest =
+    std::function<Status(const PairSink& unite, const PairSink& spill)>;
+
+/// The hierarchy half of a semi-external decomposition, given lambda.
+/// `harvest` makes one pass over the graph, calling unite(a, b) for K_r's
+/// strongly connected at equal lambda and spill(hi, lo) for each
+/// lambda-crossing connection. Components become skeleton nodes; the
+/// spill (scratch files under `temp_dir`, removed on every path) is
+/// counting-sorted by lambda[lo] and fed to Alg. 9 in decreasing bin
+/// order; the skeleton is closed. `*num_adj` receives the spill size and
+/// `*io` the spill files' IO.
+Status BuildExternalHierarchy(const PeelResult& peel,
+                              const std::string& temp_dir,
+                              const std::string& stem,
+                              const PairHarvest& harvest, SkeletonBuild* build,
+                              std::int64_t* num_adj, EmIoStats* io);
 
 }  // namespace nucleus
 

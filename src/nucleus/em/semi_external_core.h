@@ -25,10 +25,13 @@
 //     components are exactly the maximal sub-cores T_{1,2} (Def. 5) — and
 //     (b) spill each lambda-crossing edge to disk as an ADJ pair. An
 //     external counting sort groups the spilled pairs by the smaller
-//     endpoint's lambda, and BuildHierarchy (Alg. 9) consumes the bins in
-//     decreasing order through the root-forest (Alg. 7), never touching the
-//     graph again. No BFS traversal — which in external memory would be
-//     prohibitively random — ever happens.
+//     endpoint's lambda, and the shared Alg. 9 per-bin step
+//     (core/fast_nucleus.h) consumes the bins in decreasing order through
+//     the root-forest (Alg. 7), never touching the graph again. The spill,
+//     sort, bin scan and close are BuildExternalHierarchy (em/pair_file.h),
+//     shared with the semi-external truss builder. No BFS traversal —
+//     which in external memory would be prohibitively random — ever
+//     happens.
 #ifndef NUCLEUS_EM_SEMI_EXTERNAL_CORE_H_
 #define NUCLEUS_EM_SEMI_EXTERNAL_CORE_H_
 

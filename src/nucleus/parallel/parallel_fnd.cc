@@ -12,19 +12,11 @@
 namespace nucleus {
 
 template <typename Space>
-FndResult FastNucleusDecompositionParallel(const Space& space,
-                                           const ParallelConfig& config) {
-  FndResult result;
-  ThreadPool pool(config);
-  const std::int64_t grain = config.ResolvedGrain();
-
-  Timer timer;
-  result.peel = PeelParallel(space, pool, grain);
-  result.peel_seconds = timer.Seconds();
-  timer.Restart();
-
+SkeletonBuild SkeletonFromLambda(const Space& space,
+                                 const std::vector<Lambda>& lambda,
+                                 Lambda max_lambda, ThreadPool& pool,
+                                 std::int64_t grain, std::int64_t* num_adj) {
   const std::int64_t n = space.NumCliques();
-  const std::vector<Lambda>& lambda = result.peel.lambda;
 
   // Concurrent sub-nucleus detection. Each superclique is visited once per
   // member; only the minimum-id member (the owner) processes it, so every
@@ -70,19 +62,9 @@ FndResult FastNucleusDecompositionParallel(const Space& space,
     }
   });
 
-  // Canonical node numbering: one skeleton node per component, in
-  // ascending minimum-member order (the min-id disjoint-set's roots).
-  HierarchySkeleton& skeleton = result.build.skeleton;
-  std::vector<std::int32_t>& comp = result.build.comp;
-  comp.assign(n, kInvalidId);
-  for (CliqueId u = 0; u < n; ++u) {
-    if (dsf.Find(u) == u) comp[u] = skeleton.AddNode(lambda[u]);
-  }
-  pool.ParallelFor(n, grain, [&](int, std::int64_t begin, std::int64_t end) {
-    for (CliqueId u = static_cast<CliqueId>(begin); u < end; ++u) {
-      if (comp[u] == kInvalidId) comp[u] = comp[dsf.Find(u)];
-    }
-  });
+  SkeletonBuild build;
+  internal::NumberSubnuclei(
+      lambda, [&dsf](std::int32_t u) { return dsf.Find(u); }, &build);
 
   // Deterministic merge of the per-chunk ADJ buffers, resolved to skeleton
   // node ids.
@@ -94,16 +76,38 @@ FndResult FastNucleusDecompositionParallel(const Space& space,
   adj.reserve(total_adj);
   for (const auto& chunk : chunk_adj) {
     for (const auto& [member, anchor] : chunk) {
-      adj.emplace_back(comp[member], comp[anchor]);
+      adj.emplace_back(build.comp[member], build.comp[anchor]);
     }
   }
-  result.num_adj = total_adj;
+  if (num_adj != nullptr) *num_adj = total_adj;
 
-  internal::FinishSkeleton(adj, result.peel.max_lambda, &result.build);
+  internal::BuildHierarchy(adj, max_lambda, &build.skeleton);
+  internal::CloseSkeleton(&build);
+  return build;
+}
+
+template <typename Space>
+FndResult FastNucleusDecompositionParallel(const Space& space,
+                                           const ParallelConfig& config) {
+  FndResult result;
+  ThreadPool pool(config);
+  const std::int64_t grain = config.ResolvedGrain();
+
+  Timer timer;
+  result.peel = PeelParallel(space, pool, grain);
+  result.peel_seconds = timer.Seconds();
+  timer.Restart();
+  result.build = SkeletonFromLambda(space, result.peel.lambda,
+                                    result.peel.max_lambda, pool, grain,
+                                    &result.num_adj);
   result.build_seconds = timer.Seconds();
   return result;
 }
 
+// For the label-driven builder (variants/vertex_hierarchy.cc).
+template SkeletonBuild SkeletonFromLambda<VertexSpace>(
+    const VertexSpace&, const std::vector<Lambda>&, Lambda, ThreadPool&,
+    std::int64_t, std::int64_t*);
 template FndResult FastNucleusDecompositionParallel<VertexSpace>(
     const VertexSpace&, const ParallelConfig&);
 template FndResult FastNucleusDecompositionParallel<EdgeSpace>(

@@ -22,8 +22,11 @@
 //      independent, so steps 3-4 see identical input for EVERY thread
 //      count — the whole pipeline is bit-identical across thread counts
 //      (and to its own single-threaded run).
-//   4. Alg. 9 (internal::BuildHierarchy) assembles the skeleton from the
-//      binned ADJ pairs, unchanged.
+//   4. Alg. 9 (the shared assembler of core/fast_nucleus.h) assembles the
+//      skeleton from the binned ADJ pairs, unchanged.
+//
+// Steps 2-4 are SkeletonFromLambda, which the label-driven variants
+// (variants/vertex_hierarchy.h) also run, on dense label ranks.
 //
 // Relative to the serial FND the skeleton is already fully merged: nodes
 // are the maximal sub-nuclei T_{r,s} (DF-Traversal's count) rather than
@@ -39,6 +42,19 @@
 #include "nucleus/parallel/parallel_config.h"
 
 namespace nucleus {
+
+class ThreadPool;
+
+/// Steps 2-4 on a given lambda: concurrent sub-nucleus detection, canonical
+/// node numbering and Alg. 9, closed with the artificial root. Output is
+/// identical for every pool size and grain. `num_adj`, if non-null,
+/// receives |ADJ|.
+template <typename Space>
+SkeletonBuild SkeletonFromLambda(const Space& space,
+                                 const std::vector<Lambda>& lambda,
+                                 Lambda max_lambda, ThreadPool& pool,
+                                 std::int64_t grain,
+                                 std::int64_t* num_adj = nullptr);
 
 /// Parallel Alg. 8 + 9: peeling, sub-nucleus detection and hierarchy
 /// build, end to end. Output is identical for every config (thread count

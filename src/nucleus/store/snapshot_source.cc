@@ -359,48 +359,4 @@ SourceView MakeSourceView(const SnapshotSource& source) {
   return view;
 }
 
-std::int32_t ViewLca(const SourceView& view, std::int32_t a, std::int32_t b) {
-  if (view.depth[a] < view.depth[b]) std::swap(a, b);
-  std::int32_t diff = view.depth[a] - view.depth[b];
-  for (std::int32_t j = 0; diff != 0; ++j, diff >>= 1) {
-    if (diff & 1) a = view.Up(j, a);
-  }
-  if (a == b) return a;
-  for (std::int32_t j = view.levels - 1; j >= 0; --j) {
-    if (view.Up(j, a) != view.Up(j, b)) {
-      a = view.Up(j, a);
-      b = view.Up(j, b);
-    }
-  }
-  return view.Up(0, a);
-}
-
-std::int32_t ViewNucleusAtLevel(const SourceView& view, CliqueId u,
-                                Lambda k) {
-  std::int32_t x = view.node_of_clique[u];
-  if (view.node_lambda[x] < k) return kInvalidId;
-  // Lift to the highest ancestor still at lambda >= k: the k-nucleus is
-  // the top of the chain segment whose lambda has not dropped below k.
-  for (std::int32_t j = view.levels - 1; j >= 0; --j) {
-    const std::int32_t anc = view.Up(j, x);
-    if (anc != kInvalidId && view.node_lambda[anc] >= k) x = anc;
-  }
-  return x;
-}
-
-std::int32_t ViewSmallestCommonNucleus(const SourceView& view, CliqueId u,
-                                       CliqueId v) {
-  const std::int32_t lca =
-      ViewLca(view, view.node_of_clique[u], view.node_of_clique[v]);
-  if (view.node_lambda[lca] < 1) return kInvalidId;
-  return lca;
-}
-
-Lambda ViewCommonNucleusLevel(const SourceView& view, CliqueId u,
-                              CliqueId v) {
-  const std::int32_t lca =
-      ViewLca(view, view.node_of_clique[u], view.node_of_clique[v]);
-  return view.node_lambda[lca] < 1 ? 0 : view.node_lambda[lca];
-}
-
 }  // namespace nucleus

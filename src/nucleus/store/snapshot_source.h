@@ -173,21 +173,25 @@ struct SourceView {
   std::int32_t levels = 0;
   std::span<const std::int32_t> ranking;
 
-  std::int32_t Up(std::int32_t level, std::int32_t node) const {
-    return up[static_cast<std::size_t>(level) * node_lambda.size() + node];
-  }
+  JumpTableView Jumps() const { return {depth, up, levels}; }
 };
 
 SourceView MakeSourceView(const SnapshotSource& source);
 
-// Query primitives over a SourceView — the span mirror of
-// HierarchyIndex::{NucleusAtLevel, SmallestCommonNucleus,
-// CommonNucleusLevel}, answer-identical by construction.
-std::int32_t ViewLca(const SourceView& view, std::int32_t a, std::int32_t b);
-std::int32_t ViewNucleusAtLevel(const SourceView& view, CliqueId u, Lambda k);
-std::int32_t ViewSmallestCommonNucleus(const SourceView& view, CliqueId u,
-                                       CliqueId v);
-Lambda ViewCommonNucleusLevel(const SourceView& view, CliqueId u, CliqueId v);
+// Query primitives over a SourceView: HierarchyIndex's binary lifting
+// (JumpTableView, core/hierarchy_index.h) on the view's spans, inline.
+inline std::int32_t ViewNucleusAtLevel(const SourceView& view, CliqueId u,
+                                       Lambda k) {
+  return view.Jumps().NucleusAtLevel(
+      view.node_of_clique[u], k,
+      [&view](std::int32_t x) { return view.node_lambda[x]; });
+}
+inline std::int32_t ViewSmallestCommonNucleus(const SourceView& view,
+                                              CliqueId u, CliqueId v) {
+  return view.Jumps().SmallestCommonNucleus(
+      view.node_of_clique[u], view.node_of_clique[v],
+      [&view](std::int32_t x) { return view.node_lambda[x]; });
+}
 
 }  // namespace nucleus
 

@@ -14,7 +14,8 @@
 // the out-number l_k(v) (the largest l with v in the (k, l)-core) is a
 // scalar vertex label, the (k, l)-cores are the WEAKLY connected components
 // of {v : l_k(v) >= l} — arcs used without direction for connectivity —
-// and BuildVertexHierarchy produces the l-hierarchy. Sweeping k gives the
+// and BuildVertexHierarchy (the shared Alg. 9 assembler on label ranks)
+// produces the l-hierarchy. Sweeping k gives the
 // D-core matrix.
 #ifndef NUCLEUS_VARIANTS_DIRECTED_CORE_H_
 #define NUCLEUS_VARIANTS_DIRECTED_CORE_H_

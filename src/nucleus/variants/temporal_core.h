@@ -12,8 +12,9 @@
 // The paper's Section 3.1 lists the temporal adaptation among the
 // threshold-based variants that compute only peeling numbers; here every
 // window decomposition also carries the connected-core hierarchy via
-// BuildVertexHierarchy, and CoreEvolution tracks how the dense structure
-// moves through time — the analysis loop the variant papers motivate.
+// BuildVertexHierarchy (the shared Alg. 9 assembler on label ranks), and
+// CoreEvolution tracks how the dense structure moves through time — the
+// analysis loop the variant papers motivate.
 #ifndef NUCLEUS_VARIANTS_TEMPORAL_CORE_H_
 #define NUCLEUS_VARIANTS_TEMPORAL_CORE_H_
 

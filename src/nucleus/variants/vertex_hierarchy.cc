@@ -1,9 +1,10 @@
 #include "nucleus/variants/vertex_hierarchy.h"
 
 #include <algorithm>
-#include <utility>
 
-#include "nucleus/dsf/disjoint_set.h"
+#include "nucleus/core/spaces.h"
+#include "nucleus/parallel/parallel_fnd.h"
+#include "nucleus/parallel/thread_pool.h"
 
 namespace nucleus {
 namespace {
@@ -33,66 +34,22 @@ LabeledSkeleton BuildVertexHierarchy(const Graph& g,
   out.distinct_labels.erase(
       std::unique(out.distinct_labels.begin(), out.distinct_labels.end()),
       out.distinct_labels.end());
-
-  // 1. Maximal sub-nuclei: components of equal-label edges.
-  DisjointSet vertex_sets(n);
-  g.ForEachEdge([&](VertexId u, VertexId v) {
-    if (labels[u] == labels[v]) vertex_sets.Union(u, v);
-  });
-
-  SkeletonBuild& build = out.build;
-  build.comp.assign(n, kInvalidId);
-  std::vector<std::int32_t> node_of_root(n, kInvalidId);
-  for (VertexId v = 0; v < n; ++v) {
-    const std::int32_t r = vertex_sets.Find(v);
-    if (node_of_root[r] == kInvalidId) {
-      node_of_root[r] =
-          build.skeleton.AddNode(RankOf(out.distinct_labels, labels[v]));
-      out.node_label.push_back(std::max<std::int64_t>(labels[v], 0));
-    }
-    build.comp[v] = node_of_root[r];
-  }
-
-  // 2. ADJ pairs from label-crossing edges, binned by the lower rank.
-  const Lambda max_rank =
-      static_cast<Lambda>(out.distinct_labels.size());  // ranks 1..max_rank
-  std::vector<std::vector<std::pair<std::int32_t, std::int32_t>>> bins(
-      static_cast<std::size_t>(max_rank) + 1);
-  g.ForEachEdge([&](VertexId u, VertexId v) {
-    if (labels[u] == labels[v]) return;
-    const VertexId hi = labels[u] > labels[v] ? u : v;
-    const VertexId lo = labels[u] > labels[v] ? v : u;
-    bins[RankOf(out.distinct_labels, labels[lo])].emplace_back(
-        build.comp[hi], build.comp[lo]);
-  });
-
-  // 3. BuildHierarchy (paper Alg. 9) over the bins in decreasing rank.
-  HierarchySkeleton& skeleton = build.skeleton;
-  std::vector<std::pair<std::int32_t, std::int32_t>> merge;
-  for (Lambda k = max_rank; k >= 0; --k) {
-    merge.clear();
-    for (const auto& [hi_node, lo_node] : bins[k]) {
-      const std::int32_t s = skeleton.FindRoot(hi_node);
-      const std::int32_t t = skeleton.FindRoot(lo_node);
-      if (s == t) continue;
-      if (skeleton.LambdaOf(s) > skeleton.LambdaOf(t)) {
-        skeleton.AttachChild(s, t);
-      } else {
-        merge.emplace_back(s, t);
-      }
-    }
-    for (const auto& [s, t] : merge) skeleton.UnionR(s, t);
-  }
-
-  build.num_subnuclei = skeleton.NumNodes();
-  build.root_id = skeleton.AddNode(kRootLambda);
-  out.node_label.push_back(0);
-  for (std::int32_t s = 0; s < build.root_id; ++s) {
-    if (!skeleton.HasParent(s)) skeleton.SetParent(s, build.root_id);
-  }
   out.vertex_rank.resize(n);
   for (VertexId v = 0; v < n; ++v) {
     out.vertex_rank[v] = RankOf(out.distinct_labels, labels[v]);
+  }
+
+  // The ranks are a vertex-level lambda: parallel FND's detection and
+  // Alg. 9 stage builds the skeleton, serially on a 1-lane pool.
+  ThreadPool pool(1);
+  out.build = SkeletonFromLambda(
+      VertexSpace(g), out.vertex_rank,
+      static_cast<Lambda>(out.distinct_labels.size()), pool,
+      ParallelConfig::kDefaultGrain);
+
+  out.node_label.assign(out.build.skeleton.NumNodes(), 0);
+  for (VertexId v = 0; v < n; ++v) {
+    out.node_label[out.build.comp[v]] = std::max<std::int64_t>(labels[v], 0);
   }
   return out;
 }

@@ -9,11 +9,13 @@
 // such that the variant's "k-cores" are the connected components of the
 // subgraphs induced on {v : lambda(v) >= t}. That is exactly the structure
 // the paper's disjoint-set machinery organizes, so one label-driven builder
-// closes the gap for all of them at once:
+// closes the gap for all of them at once: it runs parallel FND's
+// detection-plus-Alg. 9 stage (SkeletonFromLambda, parallel/parallel_fnd.h)
+// on the vertex space with the label ranks as lambda:
 //
-//   1. union equal-label edge endpoints  -> maximal sub-nuclei T
-//   2. spill label-crossing edges        -> ADJ pairs
-//   3. binned BuildHierarchy (Alg. 9)    -> hierarchy-skeleton
+//   1. union equal-rank edge endpoints   -> maximal sub-nuclei T
+//   2. record rank-crossing edges        -> ADJ pairs
+//   3. binned Alg. 9 (core/fast_nucleus) -> hierarchy-skeleton
 //
 // Labels may be any int64 (weighted degrees can exceed 2^31); they are
 // mapped to dense ranks for the skeleton, with rank 0 reserved for labels

@@ -12,8 +12,9 @@
 // deletion, which is all the schema requires).
 //
 // Hierarchy: the weighted k-cores are the connected components of
-// {v : lambda_w(v) >= k}, so BuildVertexHierarchy (the label-driven Alg. 9)
-// produces the full containment tree.
+// {v : lambda_w(v) >= k}, so BuildVertexHierarchy (parallel FND's
+// detection plus the shared Alg. 9 assembler, run on label ranks) produces
+// the full containment tree.
 #ifndef NUCLEUS_VARIANTS_WEIGHTED_CORE_H_
 #define NUCLEUS_VARIANTS_WEIGHTED_CORE_H_
 

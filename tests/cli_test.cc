@@ -43,8 +43,15 @@ std::string WriteTestGraph() {
 TEST(Cli, NoCommandFails) {
   const CliResult r = RunArgs({});
   EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("missing command"), std::string::npos);
+  EXPECT_NE(r.err.find("missing command (see usage below)"),
+            std::string::npos);
   EXPECT_NE(r.err.find("usage:"), std::string::npos);
+  // The usage that follows names every command.
+  for (const char* command :
+       {"decompose", "stats", "generate", "convert", "semi-external", "query",
+        "serve", "route", "connect", "update", "snapshot-upgrade"}) {
+    EXPECT_NE(r.err.find(command), std::string::npos) << command;
+  }
 }
 
 TEST(Cli, UnknownCommandFails) {

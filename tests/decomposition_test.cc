@@ -20,6 +20,23 @@ TEST(Decompose, FndCoreOnFigure2) {
   EXPECT_GE(r.timings.total_seconds, 0.0);
 }
 
+TEST(Decompose, TotalIncludesTreeConstruction) {
+  const Graph g = PlantedPartition(3, 10, 0.6, 0.1, 71);
+  for (Algorithm algorithm :
+       {Algorithm::kDft, Algorithm::kFnd, Algorithm::kLcps}) {
+    DecomposeOptions options;
+    options.family = Family::kCore12;
+    options.algorithm = algorithm;
+    const PhaseTimings with_tree = Decompose(g, options).timings;
+    EXPECT_GT(with_tree.tree_seconds, 0.0) << AlgorithmName(algorithm);
+    EXPECT_DOUBLE_EQ(with_tree.total_seconds,
+                     with_tree.index_seconds + with_tree.peel_seconds +
+                         with_tree.traverse_seconds + with_tree.tree_seconds);
+    options.build_tree = false;
+    EXPECT_EQ(Decompose(g, options).timings.tree_seconds, 0.0);
+  }
+}
+
 TEST(Decompose, AllAlgorithmsSameLambdaAllFamilies) {
   const Graph g = PlantedPartition(3, 10, 0.6, 0.1, 71);
   for (Family family :

@@ -1,7 +1,14 @@
 #include "nucleus/core/fast_nucleus.h"
 
+#include <algorithm>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "nucleus/cliques/edge_index.h"
+#include "nucleus/cliques/triangle_index.h"
 #include "nucleus/core/df_traversal.h"
 #include "nucleus/core/hierarchy.h"
 #include "nucleus/core/naive_traversal.h"
@@ -108,6 +115,71 @@ TEST(FastNucleus, PhaseTimingsNonNegative) {
   const FndResult fnd = FastNucleusDecomposition(space);
   EXPECT_GE(fnd.peel_seconds, 0.0);
   EXPECT_GE(fnd.build_seconds, 0.0);
+}
+
+// Alg. 9 must not depend on the order of the pairs within a bin. Feeds
+// each bin of the FND ADJ pairs to the shared per-bin step in three
+// orders — shuffled (fixed seed), reversed, and the build-order ablation's
+// stable sort by decreasing lower-side lambda — and expects one hierarchy,
+// equal to FND's own.
+template <typename Space>
+void ExpectBinOrderInsensitive(const Space& space) {
+  using Pair = std::pair<std::int32_t, std::int32_t>;
+  const FndPeelState state = FastNucleusPeel(space);
+  const HierarchySkeleton& skeleton = state.skeleton;
+  std::vector<Pair> sorted = state.adj;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [&skeleton](const Pair& a, const Pair& b) {
+                     return skeleton.LambdaOf(a.second) >
+                            skeleton.LambdaOf(b.second);
+                   });
+  std::vector<std::vector<Pair>> bins(state.peel.max_lambda + 1);
+  for (const Pair& pair : sorted) {
+    bins[skeleton.LambdaOf(pair.second)].push_back(pair);
+  }
+
+  const auto assemble = [&](const auto& reorder) {
+    SkeletonBuild build{state.skeleton, state.comp};
+    std::vector<Pair> merge;
+    for (Lambda level = state.peel.max_lambda; level >= 0; --level) {
+      std::vector<Pair> bin = bins[level];
+      reorder(&bin);
+      internal::AssembleBin(
+          level,
+          [&bin](auto&& visit) {
+            for (const auto& [s, t] : bin) visit(s, t);
+          },
+          &merge, &build.skeleton);
+    }
+    internal::CloseSkeleton(&build);
+    return testing_util::NucleiFromHierarchy(
+        NucleusHierarchy::FromSkeleton(build, space.NumCliques()));
+  };
+
+  std::mt19937 rng(2016);
+  const std::vector<Nucleus> shuffled = assemble([&rng](std::vector<Pair>* b) {
+    std::shuffle(b->begin(), b->end(), rng);
+  });
+  const std::vector<Nucleus> reversed = assemble(
+      [](std::vector<Pair>* b) { std::reverse(b->begin(), b->end()); });
+  const std::vector<Nucleus> stable = assemble([](std::vector<Pair>*) {});
+  EXPECT_TRUE(testing_util::NucleiEqual(shuffled, stable));
+  EXPECT_TRUE(testing_util::NucleiEqual(reversed, stable));
+  EXPECT_TRUE(testing_util::NucleiEqual(
+      stable, testing_util::NucleiFromHierarchy(NucleusHierarchy::FromSkeleton(
+                  FastNucleusDecomposition(space).build, space.NumCliques()))));
+}
+
+TEST(FastNucleus, PerBinStepIsOrderInsensitiveAllFamilies) {
+  for (const auto& c : testing_util::GraphZoo()) {
+    SCOPED_TRACE(c.name);
+    const Graph g = c.make();
+    const EdgeIndex edges = EdgeIndex::Build(g);
+    const TriangleIndex triangles = TriangleIndex::Build(g, edges);
+    ExpectBinOrderInsensitive(VertexSpace(g));
+    ExpectBinOrderInsensitive(EdgeSpace(g, edges));
+    ExpectBinOrderInsensitive(TriangleSpace(g, edges, triangles));
+  }
 }
 
 }  // namespace

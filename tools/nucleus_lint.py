@@ -29,6 +29,13 @@ raw-socket
     ::socket( / ::bind( / ::listen( / ::connect( in src/nucleus outside
     util/socket.*, so the hand-rolled copies cannot come back.
 
+skeleton-assembly
+    The hierarchy assembler (paper Alg. 9) lives once, in
+    core/fast_nucleus.*. Bans .AttachChild( / ->AttachChild( / .UnionR( /
+    ->UnionR( in src/nucleus outside dsf/root_forest.*, core/fast_nucleus.*
+    (Alg. 8/9) and core/df_traversal.h (Alg. 6), so builders call the
+    shared pieces instead of copying the loop.
+
 A finding on a specific line can be suppressed with a trailing
 `// nucleus-lint: allow(<rule>)` comment.
 
@@ -46,7 +53,8 @@ import re
 import sys
 import tempfile
 
-RULES = ("tsan-filter-sync", "wall-clock", "naked-mutex", "raw-socket")
+RULES = ("tsan-filter-sync", "wall-clock", "naked-mutex", "raw-socket",
+         "skeleton-assembly")
 
 SUPPRESS_RE = re.compile(r"//\s*nucleus-lint:\s*allow\(([a-z-]+)\)")
 
@@ -63,9 +71,13 @@ NAKED_MUTEX_RE = re.compile(
 # The global-scope calls only: std::bind( and friends are not sockets.
 RAW_SOCKET_RE = re.compile(r"(?<!\w)::(?:socket|bind|listen|connect)\s*\(")
 
+SKELETON_ASSEMBLY_RE = re.compile(r"(?:\.|->)(?:AttachChild|UnionR)\s*\(")
+
 WALL_CLOCK_WHITELIST = ("obs/", "util/timer")
 NAKED_MUTEX_WHITELIST = ("util/mutex.h",)
 RAW_SOCKET_WHITELIST = ("util/socket.",)
+SKELETON_ASSEMBLY_WHITELIST = ("dsf/root_forest.", "core/fast_nucleus.",
+                               "core/df_traversal.h")
 
 CI_TSAN_RE = re.compile(r'ctest_args:\s*-R\s*"([^"]+)"')
 
@@ -182,19 +194,21 @@ def check_tsan_filter_sync(root: str, findings: list) -> None:
         )
 
 
+# (rule, pattern, whitelist) for the per-line token bans.
+TOKEN_RULES = (
+    ("wall-clock", WALL_CLOCK_RE, WALL_CLOCK_WHITELIST),
+    ("naked-mutex", NAKED_MUTEX_RE, NAKED_MUTEX_WHITELIST),
+    ("raw-socket", RAW_SOCKET_RE, RAW_SOCKET_WHITELIST),
+    ("skeleton-assembly", SKELETON_ASSEMBLY_RE, SKELETON_ASSEMBLY_WHITELIST),
+)
+
+
 def lint(root: str) -> list:
     findings: list = []
     check_tsan_filter_sync(root, findings)
     for path in iter_source_files(root):
-        check_file_rule(
-            root, path, "wall-clock", WALL_CLOCK_RE, WALL_CLOCK_WHITELIST, findings
-        )
-        check_file_rule(
-            root, path, "naked-mutex", NAKED_MUTEX_RE, NAKED_MUTEX_WHITELIST, findings
-        )
-        check_file_rule(
-            root, path, "raw-socket", RAW_SOCKET_RE, RAW_SOCKET_WHITELIST, findings
-        )
+        for rule, pattern, whitelist in TOKEN_RULES:
+            check_file_rule(root, path, rule, pattern, whitelist, findings)
     return findings
 
 
@@ -336,6 +350,23 @@ def self_test() -> int:
                "auto b = std::bind(F, 3);\n")
         _write(root, "src/nucleus/util/socket.cc", "int b = ::bind(3, 0, 0);\n")
         expect("raw-socket", lint(root), "raw-socket", 2)
+
+    # 7. Root-forest assembly calls flagged outside the assembler's files,
+    # suppression honored, HierarchySkeleton's own definitions allowed.
+    with tempfile.TemporaryDirectory() as root:
+        _fixture_base(root, "X", "X")
+        _write(root, "src/nucleus/em/copy.cc",
+               "void F(S& sk, S* p) {\n  sk.AttachChild(1, 2);\n"
+               "  p->UnionR(1, 2);\n  p->AttachChild(3, 4);\n"
+               "  sk.UnionR(3, 4);  // nucleus-lint: allow(skeleton-assembly)\n"
+               "  // sk.UnionR(5, 6) in a comment is fine\n}\n")
+        _write(root, "src/nucleus/core/fast_nucleus.h",
+               "void G(S* sk) { sk->AttachChild(1, 2); sk->UnionR(1, 2); }\n")
+        _write(root, "src/nucleus/dsf/root_forest.cc",
+               "int S::UnionR(int x, int y) { return x.UnionR(y); }\n")
+        _write(root, "src/nucleus/core/df_traversal.h",
+               "void H(S* sk) { sk->AttachChild(1, 2); }\n")
+        expect("skeleton-assembly", lint(root), "skeleton-assembly", 3)
 
     if failures:
         for failure in failures:
