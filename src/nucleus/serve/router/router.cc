@@ -4,12 +4,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "nucleus/io/hierarchy_export.h"
@@ -47,28 +49,29 @@ std::string RewriteErrorLineNumber(const std::string& response,
          response.substr(digits);
 }
 
-/// Extracts the escaped payload of `"<field>": "<payload>"` from a JSON
-/// object WE (or a backend we run) formatted — not a general parser.
-/// Returns false when the field is absent.
-bool ExtractEscapedField(const std::string& json, const std::string& field,
-                         std::string* out) {
-  const std::string key = "\"" + field + "\": \"";
-  const std::size_t start = json.find(key);
-  if (start == std::string::npos) return false;
-  std::size_t i = start + key.size();
-  std::string value;
+/// Reads the escaped payload of a JSON string WE (or a backend we run)
+/// formatted — not a general parser — from `i`, just past its opening
+/// quote, up to its closing quote; returns the index past that quote.
+std::size_t ReadEscapedString(const std::string& json, std::size_t i,
+                              std::string* out) {
+  const std::size_t start = i;
   while (i < json.size() && json[i] != '"') {
-    if (json[i] == '\\' && i + 1 < json.size()) {
-      value.push_back(json[i]);
-      value.push_back(json[i + 1]);
-      i += 2;
-      continue;
-    }
-    value.push_back(json[i]);
-    ++i;
+    i += json[i] == '\\' && i + 1 < json.size() ? 2 : 1;
   }
-  *out = value;
-  return true;
+  out->assign(json, start, i - start);
+  return i + 1;
+}
+
+/// The escaped message of a backend error object ("backend error" when
+/// it has none).
+std::string EscapedError(const std::string& response) {
+  const std::string key = "\"error\": \"";
+  const std::size_t at = response.find(key);
+  std::string escaped = "backend error";
+  if (at != std::string::npos) {
+    ReadEscapedString(response, at + key.size(), &escaped);
+  }
+  return escaped;
 }
 
 /// Reverses JsonEscape for the path strings a `detach` response names.
@@ -102,31 +105,12 @@ std::vector<std::string> ParsePersistedArray(const std::string& response) {
   if (i == std::string::npos) return paths;
   i += key.size();
   while (i < response.size() && response[i] != ']') {
-    if (response[i] != '"') {
-      ++i;
-      continue;
-    }
-    ++i;  // opening quote
+    if (response[i++] != '"') continue;
     std::string escaped;
-    while (i < response.size() && response[i] != '"') {
-      if (response[i] == '\\' && i + 1 < response.size()) {
-        escaped.push_back(response[i]);
-        escaped.push_back(response[i + 1]);
-        i += 2;
-        continue;
-      }
-      escaped.push_back(response[i]);
-      ++i;
-    }
-    ++i;  // closing quote
+    i = ReadEscapedString(response, i, &escaped);
     paths.push_back(JsonUnescape(escaped));
   }
   return paths;
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 }  // namespace
@@ -156,28 +140,86 @@ std::int32_t JumpConsistentHash(std::uint64_t key,
   return static_cast<std::int32_t>(bucket);
 }
 
-/// One forwarded line's rendezvous: the front worker waits on it, the
-/// backend connection's reader (or a failure path) completes it exactly
-/// once.
-struct TenantRouter::Slot {
-  explicit Slot(std::int64_t line) : line_no(line) {}
-  const std::int64_t line_no;
+/// One drained batch of a front session: every pending line's response
+/// slot in input order, and the routed lines among them grouped by the
+/// pooled connection they are pinned to. The front worker writes local
+/// answers straight into `responses` and queues routed lines between
+/// forwards; during Forward each routed slot is written exactly once, by
+/// whoever removes its FIFO entry (the connection's reader, or a failure
+/// path), and Forward returns after the countdown reaches zero under
+/// `mutex`, which orders every slot write before the worker reads it.
+struct TenantRouter::Batch {
+  struct Line {
+    std::size_t slot;      // its index in `responses`
+    std::int64_t line_no;  // front session line number
+    std::size_t end;       // end of its bytes (line + '\n') in the wire
+  };
+  /// One pooled connection's lines in input order, and their bytes: that
+  /// connection's FIFO and wire order.
+  struct Group {
+    std::vector<Line> lines;
+    std::string wire;
+  };
+
+  void Answer(std::string text) { responses.push_back(std::move(text)); }
+
+  void Queue(std::size_t backend, std::size_t conn,
+             const std::string& raw_line, std::int64_t line_no) {
+    if (groups.size() <= backend) groups.resize(backend + 1);
+    if (groups[backend].size() <= conn) groups[backend].resize(conn + 1);
+    Group& group = groups[backend][conn];
+    group.wire += raw_line;
+    group.wire.push_back('\n');
+    group.lines.push_back({responses.size(), line_no, group.wire.size()});
+    responses.emplace_back();
+    ++routed;
+  }
+
+  /// Fills routed slot `slot`; the last completion wakes the waiter.
+  void Complete(std::size_t slot, std::string text) {
+    responses[slot] = std::move(text);
+    MutexLock lock(mutex);  // a leaf lock: nothing is acquired under it
+    // Notify under the lock: the waiter may destroy the batch as soon as
+    // it can reacquire the mutex.
+    if (--outstanding == 0) cv.notify_one();
+  }
+
+  void Clear() {
+    responses.clear();
+    routed = 0;
+    for (std::vector<Group>& row : groups) {
+      for (Group& group : row) {
+        group.lines.clear();
+        group.wire.clear();
+      }
+    }
+  }
+
+  std::vector<std::string> responses;
+  /// groups[backend][conn], kept across drains to reuse their buffers.
+  std::vector<std::vector<Group>> groups;
+  std::size_t routed = 0;
   Mutex mutex;
   std::condition_variable cv;
-  bool done GUARDED_BY(mutex) = false;
-  std::string text GUARDED_BY(mutex);
+  std::size_t outstanding GUARDED_BY(mutex) = 0;
 };
 
 /// One pooled connection to one backend. Wire order must equal FIFO
 /// order — write_mutex is held across the (push, send) pair to pin that
 /// invariant; the reader thread pops the FIFO as response lines arrive.
 struct TenantRouter::BackendConn {
+  /// A forwarded, unanswered line: its batch slot and front line number.
+  struct InFlight {
+    Batch* batch;
+    std::size_t slot;
+    std::int64_t line_no;
+  };
   /// Serializes forwarders; ACQUIRED_BEFORE mutex.
   Mutex write_mutex;
   Mutex mutex ACQUIRED_AFTER(write_mutex);
   int fd GUARDED_BY(mutex) = -1;
   bool alive GUARDED_BY(mutex) = false;
-  std::deque<std::shared_ptr<Slot>> fifo GUARDED_BY(mutex);
+  std::deque<InFlight> fifo GUARDED_BY(mutex);
   /// Managed under write_mutex (EnsureConnected joins before re-dialing).
   std::thread reader;
 };
@@ -190,35 +232,14 @@ struct TenantRouter::Backend {
   std::vector<std::unique_ptr<BackendConn>> conns;
 };
 
-void TenantRouter::CompleteSlot(Slot& slot, std::string text) {
-  {
-    MutexLock lock(slot.mutex);
-    if (slot.done) return;  // first completion wins
-    slot.done = true;
-    slot.text = std::move(text);
-  }
-  slot.cv.notify_all();
-}
-
-std::string TenantRouter::WaitSlot(Slot& slot) {
-  MutexLock lock(slot.mutex);
-  while (!slot.done) slot.cv.wait(lock.native());
-  return slot.text;
-}
-
-std::shared_ptr<TenantRouter::Slot> TenantRouter::MakeCompletedSlot(
-    std::int64_t line_no, std::string text) {
-  auto slot = std::make_shared<Slot>(line_no);
-  CompleteSlot(*slot, std::move(text));
-  return slot;
-}
-
 TenantRouter::TenantRouter(TenantRouterOptions options)
     : options_(std::move(options)),
       metrics_(options_.metrics != nullptr ? options_.metrics
                                            : &obs::MetricsRegistry::Global()),
       m_forwarded_(
           metrics_->GetCounter("nucleus_router_lines_forwarded_total")),
+      m_batches_(
+          metrics_->GetCounter("nucleus_router_batches_forwarded_total")),
       m_rejected_(
           metrics_->GetCounter("nucleus_router_lines_rejected_total")),
       m_failures_(
@@ -333,7 +354,6 @@ int TenantRouter::ConnIndexFor(const std::string& tenant) const {
 }
 
 Status TenantRouter::EnsureConnected(Backend& backend, BackendConn& conn) {
-  MutexLock wlock(conn.write_mutex);
   {
     MutexLock lock(conn.mutex);
     if (conn.alive) return Status::Ok();
@@ -364,15 +384,6 @@ Status TenantRouter::EnsureConnected(Backend& backend, BackendConn& conn) {
   return Status::Ok();
 }
 
-void TenantRouter::FailConnLocked(Backend& backend, BackendConn& conn,
-                                  const std::string& reason) {
-  for (const std::shared_ptr<Slot>& slot : conn.fifo) {
-    CompleteSlot(*slot, ErrorLine(JsonEscape(reason), slot->line_no));
-  }
-  conn.fifo.clear();
-  (void)backend;
-}
-
 void TenantRouter::ReaderLoop(Backend* backend, BackendConn* conn, int fd) {
   std::string buffered;
   char chunk[65536];
@@ -386,21 +397,19 @@ void TenantRouter::ReaderLoop(Backend* backend, BackendConn* conn, int fd) {
          nl != std::string::npos; nl = buffered.find('\n', start)) {
       std::string line = buffered.substr(start, nl - start);
       start = nl + 1;
-      std::shared_ptr<Slot> slot;
+      BackendConn::InFlight entry{};
       {
         MutexLock lock(conn->mutex);
-        if (!conn->fifo.empty()) {
-          slot = conn->fifo.front();
-          conn->fifo.pop_front();
-        }
+        if (conn->fifo.empty()) continue;  // stray line; nothing waits
+        entry = conn->fifo.front();
+        conn->fifo.pop_front();
       }
-      if (slot == nullptr) continue;  // stray line; nothing waits on it
       if (IsErrorLine(line)) {
         // The backend numbered the error in ITS session; renumber it
         // into the front session the client actually sees.
-        line = RewriteErrorLineNumber(line, slot->line_no);
+        line = RewriteErrorLineNumber(line, entry.line_no);
       }
-      CompleteSlot(*slot, std::move(line));
+      entry.batch->Complete(entry.slot, std::move(line));
     }
     buffered.erase(0, start);
   }
@@ -411,9 +420,12 @@ void TenantRouter::ReaderLoop(Backend* backend, BackendConn* conn, int fd) {
   {
     MutexLock lock(conn->mutex);
     conn->alive = false;
-    FailConnLocked(*backend, *conn,
-                   "backend " + backend->address +
-                       " connection lost before responding");
+    const std::string reason = JsonEscape(
+        "backend " + backend->address + " connection lost before responding");
+    for (const BackendConn::InFlight& entry : conn->fifo) {
+      entry.batch->Complete(entry.slot, ErrorLine(reason, entry.line_no));
+    }
+    conn->fifo.clear();
     // Half-close to send our FIN now: a draining backend lingers until
     // it sees it, and nothing will be written on this fd again before
     // EnsureConnected replaces it.
@@ -426,83 +438,108 @@ void TenantRouter::ReaderLoop(Backend* backend, BackendConn* conn, int fd) {
   }
 }
 
-std::shared_ptr<TenantRouter::Slot> TenantRouter::ForwardToConn(
-    Backend& backend, BackendConn& conn, const std::string& raw_line,
-    std::int64_t line_no) {
-  if (!backend.up.load(std::memory_order_acquire)) {
-    lines_rejected_.fetch_add(1, std::memory_order_relaxed);
-    m_rejected_->Increment();
-    return MakeCompletedSlot(
-        line_no, ErrorLine("backend " + backend.address +
-                               " is down (health check failed): "
-                               "request rejected",
-                           line_no));
+void TenantRouter::Forward(Batch& batch) {
+  if (batch.routed == 0) return;
+  {
+    MutexLock lock(batch.mutex);
+    batch.outstanding = batch.routed;
   }
-  if (Status s = EnsureConnected(backend, conn); !s.ok()) {
-    lines_rejected_.fetch_add(1, std::memory_order_relaxed);
-    m_rejected_->Increment();
-    return MakeCompletedSlot(line_no,
-                             ErrorLine(JsonEscape(s.message()), line_no));
+  bool sent = false;
+  for (std::size_t b = 0; b < batch.groups.size(); ++b) {
+    for (std::size_t c = 0; c < batch.groups[b].size(); ++c) {
+      if (!batch.groups[b][c].lines.empty()) sent |= SendGroup(batch, b, c);
+    }
+  }
+  if (sent) m_batches_->Increment();
+  MutexLock lock(batch.mutex);
+  while (batch.outstanding > 0) batch.cv.wait(lock.native());
+}
+
+bool TenantRouter::SendGroup(Batch& batch, std::size_t backend_index,
+                             std::size_t conn_index) {
+  Backend& backend = *backends_[backend_index];
+  BackendConn& conn = *backend.conns[conn_index];
+  const Batch::Group& group = batch.groups[backend_index][conn_index];
+  const std::vector<Batch::Line>& lines = group.lines;
+  // Rejects lines[from, ...) at admission, one structured error each.
+  const auto reject = [&](std::size_t from, const std::string& escaped) {
+    for (std::size_t i = from; i < lines.size(); ++i) {
+      batch.Complete(lines[i].slot, ErrorLine(escaped, lines[i].line_no));
+    }
+    const auto count = static_cast<std::int64_t>(lines.size() - from);
+    lines_rejected_.fetch_add(count, std::memory_order_relaxed);
+    m_rejected_->Increment(count);
+  };
+  if (!backend.up.load(std::memory_order_acquire)) {
+    reject(0, "backend " + backend.address +
+                  " is down (health check failed): request rejected");
+    return false;
   }
   MutexLock wlock(conn.write_mutex);
-  auto slot = std::make_shared<Slot>(line_no);
+  if (Status s = EnsureConnected(backend, conn); !s.ok()) {
+    reject(0, JsonEscape(s.message()));
+    return false;
+  }
+  std::size_t admitted = 0;
   int fd = -1;
   {
     MutexLock lock(conn.mutex);
     if (!conn.alive) {
-      lines_rejected_.fetch_add(1, std::memory_order_relaxed);
-      m_rejected_->Increment();
-      CompleteSlot(*slot, ErrorLine("backend " + backend.address +
-                                        " connection lost: request rejected",
-                                    line_no));
-      return slot;
+      reject(0, "backend " + backend.address +
+                    " connection lost: request rejected");
+      return false;
     }
-    if (static_cast<std::int64_t>(conn.fifo.size()) >=
-        options_.max_inflight) {
-      // The same admission discipline the TCP tier applies to its
-      // queues: bound the buffer, reject with a structured error.
-      lines_rejected_.fetch_add(1, std::memory_order_relaxed);
-      m_rejected_->Increment();
-      CompleteSlot(*slot,
-                   ErrorLine("backend " + backend.address +
-                                 " in-flight limit (" +
-                                 std::to_string(options_.max_inflight) +
-                                 " lines) reached: request rejected",
-                             line_no));
-      return slot;
+    // The same admission discipline the TCP tier applies to its queues:
+    // bound the buffer, reject the lines past it with a structured error.
+    const std::int64_t room =
+        options_.max_inflight - static_cast<std::int64_t>(conn.fifo.size());
+    admitted = static_cast<std::size_t>(std::clamp<std::int64_t>(
+        room, 0, static_cast<std::int64_t>(lines.size())));
+    for (std::size_t i = 0; i < admitted; ++i) {
+      conn.fifo.push_back({&batch, lines[i].slot, lines[i].line_no});
     }
-    conn.fifo.push_back(slot);
     fd = conn.fd;
   }
-  // Send outside conn.mutex (the reader must keep popping while we
-  // block on a full socket) but inside write_mutex (wire order == FIFO
-  // order).
-  std::string wire = raw_line;
-  wire.push_back('\n');
-  if (!SendAll(fd, wire)) {
-    MutexLock lock(conn.mutex);
-    // write_mutex is still held: our slot is the tail if the reader has
-    // not already failed the whole FIFO.
-    if (!conn.fifo.empty() && conn.fifo.back() == slot) {
-      conn.fifo.pop_back();
+  bool sent = false;
+  if (admitted > 0) {
+    // Send outside conn.mutex (the reader must keep popping while we
+    // block on a full socket) but inside write_mutex (wire order == FIFO
+    // order).
+    sent = SendAll(fd, std::string_view(group.wire)
+                           .substr(0, lines[admitted - 1].end));
+    if (sent) {
+      lines_forwarded_.fetch_add(static_cast<std::int64_t>(admitted),
+                                 std::memory_order_relaxed);
+      m_forwarded_->Increment(static_cast<std::int64_t>(admitted));
+    } else {
+      MutexLock lock(conn.mutex);
+      // write_mutex is still held, so this group's entries that neither
+      // the reader answered nor its exit path failed are the FIFO's tail.
+      while (!conn.fifo.empty() && conn.fifo.back().batch == &batch) {
+        const BackendConn::InFlight entry = conn.fifo.back();
+        conn.fifo.pop_back();
+        batch.Complete(entry.slot,
+                       ErrorLine("backend " + backend.address +
+                                     " send failed: request not delivered",
+                                 entry.line_no));
+      }
     }
-    CompleteSlot(*slot, ErrorLine("backend " + backend.address +
-                                      " send failed: request not delivered",
-                                  line_no));
-    return slot;
   }
-  lines_forwarded_.fetch_add(1, std::memory_order_relaxed);
-  m_forwarded_->Increment();
-  return slot;
+  if (admitted < lines.size()) {
+    reject(admitted, "backend " + backend.address + " in-flight limit (" +
+                         std::to_string(options_.max_inflight) +
+                         " lines) reached: request rejected");
+  }
+  return sent;
 }
 
-std::shared_ptr<TenantRouter::Slot> TenantRouter::ForwardLine(
-    int backend_index, const std::string& tenant,
-    const std::string& raw_line, std::int64_t line_no) {
-  Backend& backend = *backends_[static_cast<std::size_t>(backend_index)];
-  BackendConn& conn =
-      *backend.conns[static_cast<std::size_t>(ConnIndexFor(tenant))];
-  return ForwardToConn(backend, conn, raw_line, line_no);
+std::string TenantRouter::ForwardOne(int backend_index, int conn_index,
+                                     const std::string& raw_line,
+                                     std::int64_t line_no) {
+  Batch batch;
+  batch.Queue(backend_index, conn_index, raw_line, line_no);
+  Forward(batch);
+  return std::move(batch.responses[0]);
 }
 
 bool TenantRouter::ProbeBackend(Backend& backend) {
@@ -527,7 +564,7 @@ void TenantRouter::TearBackendConns(Backend& backend) {
   for (auto& conn : backend.conns) {
     MutexLock lock(conn->mutex);
     // Wakes the reader out of recv(); its exit path fails every
-    // in-flight slot, so no front worker is left blocked in WaitSlot on
+    // in-flight line, so no front worker is left blocked in a drain on
     // a backend that is still connected but no longer answering.
     if (conn->alive && conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
   }
@@ -598,14 +635,15 @@ std::string TenantRouter::RouterStatsJson() const {
 std::string TenantRouter::FanOutAdmin(const std::string& raw_line,
                                       const std::string& query_name,
                                       std::int64_t line_no) {
-  // Fan the verb to conn 0 of every up backend first (pipelined), then
-  // await in order.
-  std::vector<std::shared_ptr<Slot>> slots(backends_.size());
+  // Fan the verb to conn 0 of every up backend as one batch; responses
+  // come back in backend order.
+  Batch batch;
+  std::vector<bool> up(backends_.size());
   for (std::size_t i = 0; i < backends_.size(); ++i) {
-    Backend& backend = *backends_[i];
-    if (!backend.up.load(std::memory_order_acquire)) continue;
-    slots[i] = ForwardToConn(backend, *backend.conns[0], raw_line, line_no);
+    up[i] = backends_[i]->up.load(std::memory_order_acquire);
+    if (up[i]) batch.Queue(i, 0, raw_line, line_no);
   }
+  Forward(batch);
   std::string json = "{\"query\": \"" + query_name + "\"";
   if (query_name == "stats") {
     json += ", \"router\": {" + RouterStatsJson() + "}";
@@ -622,14 +660,15 @@ std::string TenantRouter::FanOutAdmin(const std::string& raw_line,
     }
   }
   json += ", \"backends\": [";
+  std::size_t next = 0;
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     if (i > 0) json += ", ";
     json += "{\"backend\": \"" + JsonEscape(backends_[i]->address) + "\"";
     json += ", \"up\": ";
-    json += slots[i] != nullptr ? "true" : "false";
-    if (slots[i] != nullptr) {
+    json += up[i] ? "true" : "false";
+    if (up[i]) {
       // The backend's whole response object, verbatim.
-      json += ", \"response\": " + WaitSlot(*slots[i]);
+      json += ", \"response\": " + batch.responses[next++];
     }
     json += "}";
   }
@@ -641,19 +680,16 @@ std::string TenantRouter::Migrate(const std::string& tenant,
                                   const std::string& target_address,
                                   const std::vector<std::string>& spec_args,
                                   std::int64_t line_no) {
-  int target = -1;
-  for (std::size_t i = 0; i < backends_.size(); ++i) {
-    if (backends_[i]->address == target_address) {
-      target = static_cast<int>(i);
-      break;
-    }
-  }
-  if (target < 0) {
+  const auto found = std::find_if(
+      backends_.begin(), backends_.end(),
+      [&](const auto& backend) { return backend->address == target_address; });
+  if (found == backends_.end()) {
     return ErrorLine(
         JsonEscape("migrate: unknown backend '" + target_address +
                    "' (expected one of the configured backend addresses)"),
         line_no);
   }
+  const int target = static_cast<int>(found - backends_.begin());
   const int source = BackendIndexFor(tenant);
   if (source == target) {
     return ErrorLine(JsonEscape("migrate: tenant '" + tenant +
@@ -696,18 +732,12 @@ std::string TenantRouter::Migrate(const std::string& tenant,
   // it lands behind every in-flight line of this tenant. A dirty live
   // tenant writes its pending delta batches and latest graph to disk and
   // names them in the response.
-  auto detach_slot =
-      ForwardToConn(src, *src.conns[static_cast<std::size_t>(conn_index)],
-                    "detach " + tenant, line_no);
-  const std::string detach_resp = WaitSlot(*detach_slot);
+  const std::string detach_resp =
+      ForwardOne(source, conn_index, "detach " + tenant, line_no);
   if (IsErrorLine(detach_resp)) {
-    std::string escaped;
-    if (!ExtractEscapedField(detach_resp, "error", &escaped)) {
-      escaped = "backend error";
-    }
     return ErrorLine(JsonEscape("migrate " + tenant + ": detach on " +
                                 src.address + " failed: ") +
-                         escaped,
+                         EscapedError(detach_resp),
                      line_no);
   }
   const std::vector<std::string> persisted =
@@ -717,39 +747,33 @@ std::string TenantRouter::Migrate(const std::string& tenant,
   // the delta list, and the persisted graph replaces the original so the
   // target re-resolves to exactly the detached state.
   for (const std::string& path : persisted) {
-    if (EndsWith(path, ".nucdelta")) {
+    if (path.ends_with(".nucdelta")) {
       spec.delta_paths.push_back(path);
     } else {
       spec.graph_path = path;
     }
   }
-  std::string attach_line = "attach " + tenant + " snapshot=" +
-                            spec.snapshot_path;
+  std::vector<std::string> new_args = {"snapshot=" + spec.snapshot_path};
   if (!spec.delta_paths.empty()) {
-    attach_line += " deltas=";
+    std::string deltas = "deltas=";
     for (std::size_t i = 0; i < spec.delta_paths.size(); ++i) {
-      if (i > 0) attach_line += ",";
-      attach_line += spec.delta_paths[i];
+      if (i > 0) deltas += ",";
+      deltas += spec.delta_paths[i];
     }
+    new_args.push_back(deltas);
   }
-  if (!spec.graph_path.empty()) attach_line += " graph=" + spec.graph_path;
+  if (!spec.graph_path.empty()) new_args.push_back("graph=" + spec.graph_path);
+  std::string attach_line = "attach " + tenant;
+  for (const std::string& arg : new_args) attach_line += " " + arg;
 
   // 3. Attach on the target through the tenant's pinned conn there.
-  auto attach_slot =
-      ForwardToConn(dst, *dst.conns[static_cast<std::size_t>(conn_index)],
-                    attach_line, line_no);
-  const std::string attach_resp = WaitSlot(*attach_slot);
+  const std::string attach_resp =
+      ForwardOne(target, conn_index, attach_line, line_no);
   if (IsErrorLine(attach_resp)) {
     // Best-effort rollback: re-attach the persisted state on the source
     // so the tenant is not stranded detached.
-    auto rollback_slot =
-        ForwardToConn(src, *src.conns[static_cast<std::size_t>(conn_index)],
-                      attach_line, line_no);
-    const bool rolled_back = !IsErrorLine(WaitSlot(*rollback_slot));
-    std::string escaped;
-    if (!ExtractEscapedField(attach_resp, "error", &escaped)) {
-      escaped = "backend error";
-    }
+    const bool rolled_back = !IsErrorLine(
+        ForwardOne(source, conn_index, attach_line, line_no));
     return ErrorLine(
         JsonEscape("migrate " + tenant + ": attach on " + dst.address +
                    " failed (" +
@@ -757,7 +781,7 @@ std::string TenantRouter::Migrate(const std::string& tenant,
                         ? "tenant re-attached on " + src.address
                         : "tenant is now detached; re-attach manually") +
                    "): ") +
-            escaped,
+            EscapedError(attach_resp),
         line_no);
   }
 
@@ -765,19 +789,6 @@ std::string TenantRouter::Migrate(const std::string& tenant,
   {
     WriterLock lock(route_mutex_);
     overrides_[tenant] = target;
-    std::vector<std::string> new_args;
-    new_args.push_back("snapshot=" + spec.snapshot_path);
-    if (!spec.delta_paths.empty()) {
-      std::string deltas = "deltas=";
-      for (std::size_t i = 0; i < spec.delta_paths.size(); ++i) {
-        if (i > 0) deltas += ",";
-        deltas += spec.delta_paths[i];
-      }
-      new_args.push_back(deltas);
-    }
-    if (!spec.graph_path.empty()) {
-      new_args.push_back("graph=" + spec.graph_path);
-    }
     specs_[tenant] = std::move(new_args);
   }
   migrations_.fetch_add(1, std::memory_order_relaxed);
@@ -803,50 +814,50 @@ class RouterHandler : public ConnectionHandler {
     Emit(ErrorLine(JsonEscape(status.message()), line_no()));
   }
 
-  std::size_t pending() const override { return pending_.size(); }
+  std::size_t pending() const override { return batch_.responses.size(); }
 
   void Drain() override {
-    for (const std::shared_ptr<TenantRouter::Slot>& slot : pending_) {
-      out_ << TenantRouter::WaitSlot(*slot) << "\n";
+    router_->Forward(batch_);
+    for (const std::string& response : batch_.responses) {
+      out_ << response << '\n';
     }
-    pending_.clear();
+    batch_.Clear();
   }
 
-  void Emit(std::string text) {
-    pending_.push_back(
-        TenantRouter::MakeCompletedSlot(line_no(), std::move(text)));
+  void Emit(std::string text) { batch_.Answer(std::move(text)); }
+
+  /// Answers `line` if its first token is `migrate`.
+  bool HandleMigrate(const std::string& line) {
+    std::istringstream tokens(line);
+    std::string head;
+    std::string tenant;
+    std::string target;
+    tokens >> head >> tenant >> target;
+    if (head != "migrate") return false;
+    std::vector<std::string> spec_args;
+    for (std::string arg; tokens >> arg;) spec_args.push_back(arg);
+    if (tenant.empty() || target.empty()) {
+      Emit(ErrorLine(
+          JsonEscape("migrate expects: migrate <tenant> <host:port> "
+                     "[snapshot=<path> [deltas=<p1,p2>] [graph=<path>]]"),
+          line_no()));
+      return true;
+    }
+    // A sequencing point like every admin verb: everything already
+    // queued is answered before the move starts.
+    Drain();
+    Emit(router_->Migrate(tenant, target, spec_args, line_no()));
+    return true;
   }
 
   void Handle(const std::string& line) override {
-    // `migrate` is a router-only verb: the backends never see it, so it
-    // is peeled off before the shared grammar.
-    std::istringstream tokens(line);
-    std::string head;
-    tokens >> head;
-    if (head == "migrate") {
-      std::string tenant;
-      std::string target;
-      tokens >> tenant >> target;
-      std::vector<std::string> spec_args;
-      std::string arg;
-      while (tokens >> arg) spec_args.push_back(arg);
-      if (tenant.empty() || target.empty()) {
-        Emit(ErrorLine(
-            JsonEscape("migrate expects: migrate <tenant> <host:port> "
-                       "[snapshot=<path> [deltas=<p1,p2>] [graph=<path>]]"),
-            line_no()));
-        return;
-      }
-      // A sequencing point like every admin verb: everything already
-      // forwarded is answered before the move starts.
-      Drain();
-      Emit(router_->Migrate(tenant, target, spec_args, line_no()));
-      return;
-    }
-
     StatusOr<RoutedServeLine> parsed = ParseRoutedServeLine(line);
     if (!parsed.ok()) {
-      Emit(ErrorLine(JsonEscape(parsed.status().message()), line_no()));
+      // `migrate` is a router-only verb, so the shared grammar rejects it:
+      // the backends never see it.
+      if (!HandleMigrate(line)) {
+        Emit(ErrorLine(JsonEscape(parsed.status().message()), line_no()));
+      }
       return;
     }
     switch (parsed->admin) {
@@ -859,22 +870,21 @@ class RouterHandler : public ConnectionHandler {
         Emit("{\"query\": \"shutdown\", \"ok\": true}");
         return;
       case RoutedServeLine::Admin::kStats:
-        Drain();
-        Emit(router_->FanOutAdmin("stats", "stats", line_no()));
-        return;
       case RoutedServeLine::Admin::kTenants:
-        Drain();
-        Emit(router_->FanOutAdmin("tenants", "tenants", line_no()));
-        return;
       case RoutedServeLine::Admin::kMetrics: {
         Drain();
+        const std::string verb =
+            parsed->admin == RoutedServeLine::Admin::kStats     ? "stats"
+            : parsed->admin == RoutedServeLine::Admin::kTenants ? "tenants"
+                                                                : "metrics";
         const bool text = !parsed->admin_args.empty() &&
                           parsed->admin_args[0] == "text";
-        Emit(router_->FanOutAdmin(text ? "metrics text" : "metrics",
-                                  "metrics", line_no()));
+        Emit(router_->FanOutAdmin(text ? "metrics text" : verb, verb,
+                                  line_no()));
         return;
       }
-      case RoutedServeLine::Admin::kAttach: {
+      case RoutedServeLine::Admin::kAttach:
+      case RoutedServeLine::Admin::kDetach: {
         // The shared parser defers attach validation to the backend,
         // but the tenant name IS the routing key — a bare `attach` has
         // no route, so answer with the backend's own arity error.
@@ -885,33 +895,23 @@ class RouterHandler : public ConnectionHandler {
               line_no()));
           return;
         }
-        // Synchronous: the spec is recorded only once the home backend
-        // confirmed the attach.
+        // Synchronous: the route table changes only once the home
+        // backend confirmed the verb.
         Drain();
         const std::string& tenant = parsed->admin_args[0];
-        const int index = router_->BackendIndexFor(tenant);
-        auto slot = router_->ForwardLine(index, tenant, line, line_no());
-        std::string response = TenantRouter::WaitSlot(*slot);
+        std::string response = router_->ForwardOne(
+            router_->BackendIndexFor(tenant), router_->ConnIndexFor(tenant),
+            line, line_no());
         if (!IsErrorLine(response)) {
-          const std::vector<std::string> spec_args(
-              parsed->admin_args.begin() + 1, parsed->admin_args.end());
           WriterLock lock(router_->route_mutex_);
-          router_->specs_[tenant] = spec_args;
-        }
-        Emit(std::move(response));
-        return;
-      }
-      case RoutedServeLine::Admin::kDetach: {
-        Drain();
-        const std::string& tenant = parsed->admin_args[0];
-        const int index = router_->BackendIndexFor(tenant);
-        auto slot = router_->ForwardLine(index, tenant, line, line_no());
-        std::string response = TenantRouter::WaitSlot(*slot);
-        if (!IsErrorLine(response)) {
-          // Clean slate: the tenant's next attach goes to its hash home.
-          WriterLock lock(router_->route_mutex_);
-          router_->specs_.erase(tenant);
-          router_->overrides_.erase(tenant);
+          if (parsed->admin == RoutedServeLine::Admin::kAttach) {
+            router_->specs_[tenant].assign(parsed->admin_args.begin() + 1,
+                                           parsed->admin_args.end());
+          } else {
+            // Clean slate: the tenant's next attach goes to its hash home.
+            router_->specs_.erase(tenant);
+            router_->overrides_.erase(tenant);
+          }
         }
         Emit(std::move(response));
         return;
@@ -928,14 +928,13 @@ class RouterHandler : public ConnectionHandler {
     }
     // A routed request: forward the RAW line — the backend's response
     // bytes are the client's response bytes.
-    pending_.push_back(router_->ForwardLine(
-        router_->BackendIndexFor(parsed->tenant), parsed->tenant, line,
-        line_no()));
+    batch_.Queue(router_->BackendIndexFor(parsed->tenant),
+                 router_->ConnIndexFor(parsed->tenant), line, line_no());
   }
 
   TenantRouter* const router_;
-  /// Response slots in input order; Drain awaits and emits them.
-  std::vector<std::shared_ptr<TenantRouter::Slot>> pending_;
+  /// The lines since the last drain; Drain forwards and emits them.
+  TenantRouter::Batch batch_;
 };
 
 ConnectionHandlerFactory TenantRouter::HandlerFactory() {

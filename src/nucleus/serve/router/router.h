@@ -16,10 +16,15 @@
 //     ONE pooled connection (hash over the pool), so all of a tenant's
 //     lines flow through a single ordered backend session — which is
 //     what keeps per-tenant response slices byte-identical to a
-//     dedicated single-backend replay. Successful responses are relayed
-//     verbatim; error responses get their "line" field rewritten to the
-//     front session's line number (the backend's own numbering is
-//     meaningless to the client).
+//     dedicated single-backend replay. A front session forwards per
+//     drained batch, not per line: it queues routed lines, and at each
+//     drain (the kRouterBatchBound bound, a flush of quiescent input, or
+//     an admin verb, so a batch never spans one) groups them by pooled
+//     connection in input order and sends each group with one write;
+//     the whole batch completes through one countdown and one wake.
+//     Successful responses are relayed verbatim; error responses get
+//     their "line" field rewritten to the front session's line number
+//     (the backend's own numbering is meaningless to the client).
 //   * bounded in-flight: each backend connection caps its
 //     forwarded-but-unanswered lines; lines past the cap are rejected
 //     with the same structured-error admission discipline the TCP tier
@@ -67,8 +72,9 @@ std::uint64_t RouterTenantKey(const std::string& tenant);
 /// tests.
 std::int32_t JumpConsistentHash(std::uint64_t key, std::int32_t num_buckets);
 
-/// Responses a router front session holds before it writes them out: the
-/// router handler's ConnectionHandler batch bound.
+/// Lines a router front session holds before it forwards them as one
+/// batch and writes the responses out: the router handler's
+/// ConnectionHandler batch bound.
 inline constexpr std::int64_t kRouterBatchBound = 256;
 
 struct TenantRouterOptions {
@@ -135,37 +141,34 @@ class TenantRouter {
  private:
   friend class RouterHandler;
 
-  struct Slot;
+  struct Batch;
   struct BackendConn;
   struct Backend;
 
-  /// Completes `slot` with `text` (first completion wins) / blocks until
-  /// `slot` completes and returns its text.
-  static void CompleteSlot(Slot& slot, std::string text);
-  static std::string WaitSlot(Slot& slot);
-  static std::shared_ptr<Slot> MakeCompletedSlot(std::int64_t line_no,
-                                                 std::string text);
+  /// Forwards every routed line of `batch`: one write per pooled
+  /// connection its lines are pinned to, then one wait until each line's
+  /// response slot is filled — by the backend's answer, or by a
+  /// structured error carrying the line's own number when the backend is
+  /// down, unreachable, at its in-flight cap, or the send or connection
+  /// fails.
+  void Forward(Batch& batch);
+  /// Sends the lines of `batch` pinned to pooled connection `conn` of
+  /// backend `backend` with one write; returns whether any line went on
+  /// the wire.
+  bool SendGroup(Batch& batch, std::size_t backend, std::size_t conn);
+  /// A batch of one: forwards `raw_line` and returns its response.
+  std::string ForwardOne(int backend_index, int conn_index,
+                         const std::string& raw_line, std::int64_t line_no);
 
-  /// Forwards one raw protocol line to (backend, conn), returning the
-  /// slot its response will complete. Returns a pre-completed error slot
-  /// when the backend is down, unreachable, or at its in-flight cap.
-  std::shared_ptr<Slot> ForwardLine(int backend_index,
-                                    const std::string& tenant,
-                                    const std::string& raw_line,
-                                    std::int64_t line_no);
-  std::shared_ptr<Slot> ForwardToConn(Backend& backend, BackendConn& conn,
-                                      const std::string& raw_line,
-                                      std::int64_t line_no);
-
-  Status EnsureConnected(Backend& backend, BackendConn& conn);
+  /// Dials `conn` unless its session is alive, starting its reader.
+  Status EnsureConnected(Backend& backend, BackendConn& conn)
+      REQUIRES(conn.write_mutex);
   void ReaderLoop(Backend* backend, BackendConn* conn, int fd);
-  void FailConnLocked(Backend& backend, BackendConn& conn,
-                      const std::string& reason) REQUIRES(conn.mutex);
   int ConnIndexFor(const std::string& tenant) const;
 
   bool ProbeBackend(Backend& backend);
   /// Half-kills every live connection of a down backend (shutdown(2) on
-  /// the fd) so each reader exits and fails its in-flight slots — the
+  /// the fd) so each reader exits and fails its in-flight lines — the
   /// unblocking path for front workers waiting on a wedged backend.
   void TearBackendConns(Backend& backend);
   void ProberLoop();
@@ -210,6 +213,7 @@ class TenantRouter {
 
   obs::MetricsRegistry* const metrics_;
   obs::Counter* const m_forwarded_;
+  obs::Counter* const m_batches_;
   obs::Counter* const m_rejected_;
   obs::Counter* const m_failures_;
   obs::Counter* const m_migrations_;

@@ -423,7 +423,7 @@ TEST(RouterFailover, DeadBackendFailsFastOnlyForItsTenants) {
 // connected but stops answering (SIGSTOPped, deadlocked) strands its
 // forwarded-but-unanswered lines. Marking it down tears the pooled
 // connections so each reader fails its in-flight slots; without the
-// tear, front workers block in WaitSlot forever and the front server
+// tear, front workers block in their drain forever and the front server
 // can never drain.
 TEST(RouterFailover, ProbeFailureFailsInFlightLinesOnWedgedBackend) {
   const StatusOr<TcpListener> listener = ListenTcp("127.0.0.1", 0);
@@ -701,6 +701,205 @@ TEST(RouterAdmission, InFlightCapRejectsStructurally) {
 }
 
 // ---------------------------------------------------------------------
+// Batched forwarding: a drain sends each pooled connection's share of the
+// batch with one write and completes the batch with one wait, while every
+// line keeps its own answer, error and line number.
+// ---------------------------------------------------------------------
+
+/// One front session driven through the router's handler directly: every
+/// line of `script` is handled, then Finish drains them as ONE batch
+/// (script ≤ kRouterBatchBound lines). Returning at all shows that the
+/// front worker was not left waiting.
+std::vector<std::string> OneBatchSession(TenantRouter& router,
+                                         const std::string& script) {
+  std::ostringstream out;
+  const std::unique_ptr<ConnectionHandler> handler =
+      router.HandlerFactory()(out);
+  for (const std::string& line : SplitLines(script)) {
+    handler->ProcessLine(line);
+  }
+  handler->Finish();
+  return SplitLines(out.str());
+}
+
+void AttachShared(SnapshotRegistry& registry, const std::string& tenant) {
+  TenantSpec spec;
+  spec.name = tenant;
+  spec.snapshot_path = SharedSnapshotPath();
+  ASSERT_TRUE(registry.Attach(spec).ok());
+}
+
+TEST(RouterBatch, OneBatchAcrossBackendsAndConnsMatchesDedicatedReplay) {
+  RoutedFixture fix;  // two backends, two pooled connections each
+  // One tenant per (backend, pooled connection). The conn pin is the high
+  // half of the tenant key modulo the pool size; names of one length
+  // share it, so the search spans two lengths.
+  std::vector<std::string> tenants(4);
+  for (int i = 0; i < 200; ++i) {
+    const std::string tenant = "t" + std::to_string(i);
+    const int backend = fix.router->BackendIndexFor(tenant);
+    const int conn = static_cast<int>((RouterTenantKey(tenant) >> 32) % 2);
+    if (tenants[backend * 2 + conn].empty()) {
+      tenants[backend * 2 + conn] = tenant;
+    }
+  }
+  for (int k = 0; k < 4; ++k) {
+    ASSERT_FALSE(tenants[k].empty()) << "no tenant for group " << k;
+    AttachShared(k < 2 ? fix.backend_a->registry : fix.backend_b->registry,
+                 tenants[k]);
+  }
+  std::string script;
+  std::vector<std::string> owner;
+  for (int i = 0; i < 48; ++i) {
+    for (const std::string& tenant : tenants) {
+      script += TenantQueries(tenant)[static_cast<std::size_t>(i)] + "\n";
+      owner.push_back(tenant);
+    }
+  }
+  ASSERT_LE(static_cast<std::int64_t>(owner.size()), kRouterBatchBound);
+  obs::Counter* forwarded =
+      fix.metrics.GetCounter("nucleus_router_lines_forwarded_total");
+  obs::Counter* batches =
+      fix.metrics.GetCounter("nucleus_router_batches_forwarded_total");
+  const std::int64_t forwarded_before = forwarded->Value();
+  const std::int64_t batches_before = batches->Value();
+
+  const std::vector<std::string> responses =
+      OneBatchSession(*fix.router, script);
+  ASSERT_EQ(responses.size(), owner.size());
+  for (const std::string& tenant : tenants) {
+    SCOPED_TRACE(tenant);
+    std::string slice;
+    for (std::size_t i = 0; i < owner.size(); ++i) {
+      if (owner[i] == tenant) slice += responses[i] + "\n";
+    }
+    EXPECT_EQ(slice, DedicatedReplay(tenant, TenantQueries(tenant)));
+  }
+  // Counters count lines, and the drained batch once.
+  EXPECT_EQ(forwarded->Value() - forwarded_before,
+            static_cast<std::int64_t>(owner.size()));
+  EXPECT_EQ(batches->Value() - batches_before, 1);
+}
+
+// The in-flight cap reached partway through a batch admits the lines that
+// fit and rejects the rest, each with the error for ITS line.
+TEST(RouterBatch, InFlightCapPartwayThroughABatchRejectsPerLine) {
+  BackendProcess backend;
+  AttachShared(backend.registry, "t0");
+  obs::MetricsRegistry metrics;
+  TenantRouterOptions options;
+  options.backends = {backend.address()};
+  options.health_interval_ms = 0;
+  options.pool_size = 1;
+  options.max_inflight = 2;
+  options.metrics = &metrics;
+  TenantRouter router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  const std::vector<std::string> responses = OneBatchSession(
+      router, "t0:lambda 0\nt0:lambda 1\nt0:lambda 2\nt0:lambda 3\n"
+              "t0:lambda 4\n");
+  ASSERT_EQ(responses.size(), 5u);
+  const std::vector<std::string> replay =
+      SplitLines(DedicatedReplay("t0", {"t0:lambda 0", "t0:lambda 1"}));
+  EXPECT_EQ(responses[0], replay[0]);
+  EXPECT_EQ(responses[1], replay[1]);
+  for (int i = 2; i < 5; ++i) {
+    EXPECT_NE(responses[i].find("in-flight limit (2 lines)"),
+              std::string::npos)
+        << responses[i];
+    EXPECT_NE(responses[i].find("\"line\": " + std::to_string(i + 1) + "}"),
+              std::string::npos)
+        << responses[i];
+  }
+  EXPECT_EQ(
+      metrics.GetCounter("nucleus_router_lines_forwarded_total")->Value(), 2);
+  EXPECT_EQ(
+      metrics.GetCounter("nucleus_router_lines_rejected_total")->Value(), 3);
+  router.Stop();
+}
+
+// A backend that closes while a batch is in flight fails every one of its
+// lines with that line's own number; the other backend's share of the
+// same batch is answered, and the drain returns.
+TEST(RouterBatch, BackendClosingMidBatchFailsEachLineWithItsNumber) {
+  // A hand-rolled backend: answers `stats` probes, and closes a session
+  // as soon as a routed line arrives on it.
+  const StatusOr<TcpListener> listener = ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const int listen_fd = listener->fd;
+  const int port = listener->port;
+  std::atomic<bool> stop{false};
+  std::thread fake([listen_fd, &stop] {
+    std::vector<std::thread> sessions;
+    while (!stop.load(std::memory_order_acquire)) {
+      pollfd accept_pfd = {listen_fd, POLLIN, 0};
+      if (::poll(&accept_pfd, 1, 20) <= 0) continue;
+      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd < 0) continue;
+      sessions.emplace_back([fd] {
+        std::string carry;
+        std::string line;
+        while (ReadLineWithDeadline(fd,
+                                    SocketClock::now() +
+                                        std::chrono::seconds(10),
+                                    carry, &line) == LineRead::kLine &&
+               line == "stats") {
+          const std::string pong = "{\"query\": \"stats\"}\n";
+          if (!SendAll(fd, pong)) break;
+        }
+        ::close(fd);
+      });
+    }
+    for (std::thread& s : sessions) s.join();
+    ::close(listen_fd);
+  });
+
+  BackendProcess healthy;
+  AttachShared(healthy.registry, "t3");
+  obs::MetricsRegistry metrics;
+  TenantRouterOptions options;
+  // t3 hashes to backend 0 (healthy), t0 to backend 1 (the closer).
+  options.backends = {healthy.address(),
+                      "127.0.0.1:" + std::to_string(port)};
+  options.health_interval_ms = 0;
+  options.pool_size = 1;
+  options.metrics = &metrics;
+  TenantRouter router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+  ASSERT_TRUE(router.backend_up(1));
+
+  const std::vector<std::string> responses = OneBatchSession(
+      router, "t0:lambda 0\nt3:lambda 0\nt0:lambda 1\nt3:lambda 1\n"
+              "t0:lambda 2\n");
+  ASSERT_EQ(responses.size(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    SCOPED_TRACE(i);
+    if (i % 2 == 1) {
+      EXPECT_NE(responses[i].find("\"lambda\""), std::string::npos)
+          << responses[i];
+      continue;
+    }
+    EXPECT_NE(responses[i].find("connection lost before responding"),
+              std::string::npos)
+        << responses[i];
+    EXPECT_NE(responses[i].find("\"line\": " + std::to_string(i + 1) + "}"),
+              std::string::npos)
+        << responses[i];
+  }
+  EXPECT_FALSE(router.backend_up(1));  // the tear is a down signal
+  EXPECT_EQ(
+      metrics.GetCounter("nucleus_router_lines_forwarded_total")->Value(), 5);
+  EXPECT_EQ(
+      metrics.GetCounter("nucleus_router_batches_forwarded_total")->Value(),
+      1);
+
+  router.Stop();
+  stop.store(true, std::memory_order_release);
+  fake.join();
+}
+
+// ---------------------------------------------------------------------
 // Merged observability.
 // ---------------------------------------------------------------------
 
@@ -736,6 +935,9 @@ TEST(RouterAdmin, MetricsMergesRouterRegistryAndBackends) {
       SplitLines(fix.Session("metrics\nmetrics text\n"));
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_NE(responses[0].find("nucleus_router_lines_forwarded_total"),
+            std::string::npos)
+      << responses[0];
+  EXPECT_NE(responses[0].find("nucleus_router_batches_forwarded_total"),
             std::string::npos)
       << responses[0];
   EXPECT_NE(responses[0].find("\"backends\": ["), std::string::npos);

@@ -412,6 +412,13 @@ TEST(TcpServerDrain, DrainUnderLoadFinishesInFlightAndCloses) {
     });
   }
 
+  // Start barrier: the drain closes the listener, so every client must be
+  // accepted first or a late Dial meets `Connection refused`.
+  for (int spin = 0;
+       spin < 5000 && server.Stats().connections_accepted < kClients;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   // Let the load build, then pull the plug mid-flight.
   for (int spin = 0; spin < 500 && server.Stats().lines_admitted < 100;
        ++spin) {
